@@ -7,6 +7,14 @@ quantified statement over all input states into one finite matrix
 comparison. The Choi matrix here is ``sum_A vec(K_A) vec(K_A)^dagger``
 with the column-stacking ``vec`` (Fortran order); that convention is part
 of the serialization contract and must not drift.
+
+The oracle is evaluated in factored form. Stacking the vecs of both sets
+as ``W = [vec K_1 ... vec K_N | vec L_1 ... vec L_M]`` gives
+``C_K - C_L = W J W^dagger`` with ``J = diag(+1 x N, -1 x M)``; with the
+thin QR ``W = Q R`` the Choi distance is ``||R J R^dagger||_F``, an
+(N+M)-square matrix, so no d^2 x d^2 matrix is ever built.
+:func:`choi_matrix` builds the dense matrix and is kept as the reference
+that the factored form is tested against.
 """
 
 from __future__ import annotations
@@ -150,7 +158,7 @@ class KrausSet:
 
 @dataclass(frozen=True, eq=False)
 class ChoiMatrix:
-    """Canonical d^2 x d^2 channel representative; the equality oracle."""
+    """Canonical d^2 x d^2 channel representative; the reference oracle."""
 
     mat: np.ndarray
     dim: int
@@ -229,17 +237,40 @@ def choi_matrix(k: KrausSet) -> ChoiMatrix:
     return ChoiMatrix(c, d)
 
 
-def choi_distance(k: KrausSet, l: KrausSet) -> float:
-    """Frobenius distance between Choi matrices; a metric on channels."""
+def _factored_choi(k: KrausSet, l: KrausSet):
+    """``(||C_K - C_L||_F, R)`` from the thin QR of the stacked vecs.
+
+    R is the triangular factor of ``W = [vec K_1 ... vec K_N | vec L_1 ...
+    vec L_M]``, with N + M columns and ``min(d^2, N + M)`` rows; its
+    leading N x N block is the R of the K vecs alone. The distance is
+    ``||R J R^dagger||_F``, never the Gram expansion ``||G_KK||^2 +
+    ||G_LL||^2 - 2 ||G_KL||^2``, which cancels catastrophically (to about
+    1e-7 at d = 32) exactly where channels are equal.
+    """
     if k.dim != l.dim:
         raise ValueError(f"dimension mismatch: {k.dim} vs {l.dim}")
-    return frobenius_distance(choi_matrix(k).mat, choi_matrix(l).mat)
+    w = np.stack([vec(op) for op in k.ops + l.ops], axis=1)
+    r = np.linalg.qr(w, mode="r")
+    signs = np.ones(r.shape[1])
+    signs[k.rank :] = -1.0
+    return float(np.linalg.norm((r * signs) @ dagger(r))), r
+
+
+def choi_distance(k: KrausSet, l: KrausSet) -> float:
+    """Frobenius distance between Choi matrices; a metric on channels.
+
+    Evaluated in factored form (see the module docstring). Bitwise
+    identical operator lists give exactly 0.0, which QR roundoff would not.
+    """
+    if k.rank == l.rank and all(np.array_equal(a, b) for a, b in zip(k.ops, l.ops)):
+        return 0.0
+    return _factored_choi(k, l)[0]
 
 
 def channels_equal(k: KrausSet, l: KrausSet, tol: float = CHANNEL_EQUALITY_TOL) -> bool:
     """Whether two Kraus sets define the same map on every input state.
 
-    Decided through the Choi matrices, which is complete: no sampling of
+    Decided through the Choi distance, which is complete: no sampling of
     input states is involved, and sets of different rank compare fine.
     """
     return choi_distance(k, l) <= tol

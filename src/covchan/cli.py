@@ -328,12 +328,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _validate_flags(args)
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (InputError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -28,11 +28,9 @@ from .channels import (
     TRACE_TOL,
     DensityMatrix,
     KrausSet,
-    channels_equal,
-    choi_matrix,
+    _factored_choi,
+    choi_distance,
     completeness_defect,
-    kraus_gram,
-    vec,
 )
 from .linalg import (
     as_cmatrix,
@@ -71,8 +69,9 @@ __all__ = [
 
 UNITARY_TOL = 1e-10
 
-# Below this smallest Gram eigenvalue the mixing reconstruction's linear
-# solve is unreliable at double precision.
+# Below this smallest Gram eigenvalue, taken as sigma_min(R_K)^2 from the
+# QR of the stacked Kraus vecs, the operators count as linearly dependent
+# and no mixing is extracted.
 GRAM_MIN_EIGENVALUE = 1e-8
 
 # A candidate closer than this to the covariant solution (after optimal
@@ -194,8 +193,7 @@ def compatibility_residual(k: KrausSet, lprime: KrausSet, f: FrameTransform) -> 
         raise ValueError(
             f"dimension mismatch: {k.dim}, {lprime.dim}, frame {f.dim}"
         )
-    pulled_back = conjugate_kraus(lprime, f.inverse())
-    return frobenius_distance(choi_matrix(k).mat, choi_matrix(pulled_back).mat)
+    return choi_distance(k, conjugate_kraus(lprime, f.inverse()))
 
 
 def mix_kraus(k: KrausSet, v: MixingUnitary) -> KrausSet:
@@ -422,9 +420,18 @@ def _hermitian_basis(d: int):
 
 
 def _rank1_choi_residual(target: np.ndarray, cand: np.ndarray) -> float:
-    vt = vec(target)
-    vc = vec(cand)
-    return frobenius_distance(np.outer(vt, vt.conj()), np.outer(vc, vc.conj()))
+    # The two-column case of the factored Choi distance: the R of
+    # [vec target | vec cand] by Gram-Schmidt, then ||R J R^dagger||_F
+    # written out for the 2 x 2 R = [[r11, r12], [0, r22]]. Inner products
+    # and norms do not depend on the vec ordering, so the matrices are used
+    # as they are.
+    r11 = math.sqrt(np.vdot(target, target).real)
+    r12 = complex(np.vdot(target, cand)) / r11
+    rest = cand - (r12 / r11) * target
+    r22_sq = np.vdot(rest, rest).real
+    r12_sq = abs(r12) ** 2
+    corner = r11 * r11 - r12_sq
+    return math.sqrt(corner * corner + 2.0 * r12_sq * r22_sq + r22_sq * r22_sq)
 
 
 def n1_covariance_search(
@@ -545,38 +552,34 @@ def extract_mixing(
 ) -> MixingUnitary | None:
     """Recover the unitary V with ``L_A = sum_B V_AB K_B``, if one exists.
 
-    Solves the Hilbert-Schmidt linear system: overlaps of L against K
-    tested against the Gram matrix of K. Returns None when the Gram matrix
-    is singular beyond tolerance (linearly dependent Kraus elements) or
-    when the solved V fails verification, so a returned V is always
-    correct: unitary within ``tol`` and reconstructing every operator
-    within ``tol * rank``.
+    Solves ``W_L = W_K V^T`` for the stacked vecs by QR least squares,
+    reusing the R that decided channel equality: with R_K its leading
+    N x N block, ``V^T = R_K^{-1} R[:N, N:]``. Returns None when there are
+    more operators than the d^2 dimensions of operator space, when
+    ``sigma_min(R_K)^2`` is at most ``GRAM_MIN_EIGENVALUE`` (linearly
+    dependent Kraus elements), or when the solved V fails verification,
+    so a returned V is always correct: unitary within ``tol`` and
+    reconstructing every operator within ``tol * rank``.
     """
     if k.rank != l.rank:
         raise ValueError(f"rank mismatch: {k.rank} vs {l.rank}")
-    if k.dim != l.dim:
-        raise ValueError(f"dimension mismatch: {k.dim} vs {l.dim}")
-    if not channels_equal(k, l, tol):
+    distance, r = _factored_choi(k, l)
+    if distance > tol:
         raise ValueError(
             "the sets define different channels; no mixing unitary can relate them"
         )
     n = k.rank
-    gram = kraus_gram(k.ops)
-    if float(np.linalg.eigvalsh(gram).min()) <= GRAM_MIN_EIGENVALUE:
+    if n > k.dim * k.dim:
         return None
-
-    # overlaps[a, c] = Tr(K_c^dagger L_a) = sum_b V[a, b] gram[c, b]
-    overlaps = np.zeros((n, n), dtype=np.complex128)
-    for a in range(n):
-        for c in range(n):
-            overlaps[a, c] = np.trace(dagger(k.ops[c]) @ l.ops[a])
-    v = np.linalg.solve(gram, overlaps.T).T
+    r_k = r[:n, :n]
+    if float(np.linalg.svd(r_k, compute_uv=False)[-1]) ** 2 <= GRAM_MIN_EIGENVALUE:
+        return None
+    v = np.linalg.solve(r_k, r[:n, n:]).T
 
     if unitarity_defect(v) > tol:
         return None
-    limit = tol * n
-    for a in range(n):
-        rebuilt = sum(v[a, b] * k.ops[b] for b in range(n))
-        if frobenius_distance(l.ops[a], rebuilt) > limit:
-            return None
+    rebuilt = np.einsum("ab,bij->aij", v, np.stack(k.ops))
+    errors = np.linalg.norm((np.stack(l.ops) - rebuilt).reshape(n, -1), axis=1)
+    if float(errors.max()) > tol * n:
+        return None
     return MixingUnitary(v, unitarity_tol=tol)

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from covchan.channels import (
+    CHANNEL_EQUALITY_TOL,
     ChoiMatrix,
     DensityMatrix,
     KrausSet,
@@ -17,7 +20,14 @@ from covchan.channels import (
     random_kraus_set,
     vec,
 )
-from covchan.linalg import dagger, frobenius_distance, random_density, spawn_rng
+from covchan.covariance import MixingUnitary, mix_kraus
+from covchan.linalg import (
+    dagger,
+    frobenius_distance,
+    random_density,
+    random_unitary,
+    spawn_rng,
+)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -253,6 +263,50 @@ class TestMatrixUnitOracle:
                 for a, b in zip(apply_to_matrix_units(k), apply_to_matrix_units(l))
             )
             assert channels_equal(k, l, 1e-9) == (unit_dist <= 1e-8)
+
+
+def _dense_choi_distance(k, l):
+    return frobenius_distance(choi_matrix(k).mat, choi_matrix(l).mat)
+
+
+def _matrix_unit_distance(k, l):
+    # With column-stacking vec, C[i + d j, k + d l] = Phi(E_jl)[i, k]: the
+    # matrix-unit images are the Choi matrix's entries rearranged, so the
+    # root sum of their squared distances is the Choi distance.
+    images = zip(apply_to_matrix_units(k), apply_to_matrix_units(l))
+    return math.sqrt(sum(frobenius_distance(a, b) ** 2 for a, b in images))
+
+
+class TestFactoredOracle:
+    """The factored Choi distance against the dense and matrix-unit oracles."""
+
+    @staticmethod
+    def _assert_oracles_agree(k, l):
+        got = choi_distance(k, l)
+        assert abs(got - _dense_choi_distance(k, l)) <= 1e-12
+        assert abs(got - _matrix_unit_distance(k, l)) <= 1e-12
+        return got
+
+    @pytest.mark.parametrize("n", [1, 4, 16])
+    @pytest.mark.parametrize("d", [2, 4, 8, 16, 32])
+    def test_equal_and_unequal_pairs(self, d, n):
+        k = random_kraus_set(d, n, spawn_rng(29, d, n, 0))
+        v = MixingUnitary(random_unitary(n, spawn_rng(29, d, n, 1)))
+        mixed = mix_kraus(k, v)
+        other = random_kraus_set(d, n, spawn_rng(29, d, n, 2))
+        assert self._assert_oracles_agree(k, mixed) <= CHANNEL_EQUALITY_TOL
+        assert self._assert_oracles_agree(k, other) > CHANNEL_EQUALITY_TOL
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16, 32])
+    def test_mismatched_rank_pairs(self, d):
+        u = random_unitary(d, spawn_rng(31, d, 0))
+        single = KrausSet([u])
+        split = KrausSet([0.25 * u] * 16)
+        other = random_kraus_set(d, 16, spawn_rng(31, d, 1))
+        assert self._assert_oracles_agree(single, split) <= CHANNEL_EQUALITY_TOL
+        far = self._assert_oracles_agree(single, other)
+        assert far > CHANNEL_EQUALITY_TOL
+        assert abs(choi_distance(other, single) - far) <= 1e-12
 
 
 def test_kraus_gram_values():

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from covchan.channels import (
+    CHANNEL_EQUALITY_TOL,
     DensityMatrix,
     KrausSet,
     channels_equal,
     choi_distance,
+    choi_matrix,
     completeness_defect,
+    kraus_gram,
     random_kraus_set,
 )
 from covchan.covariance import (
+    GRAM_MIN_EIGENVALUE,
     CovarianceReport,
     FrameTransform,
     MixingUnitary,
@@ -36,6 +40,7 @@ from covchan.linalg import (
     random_density,
     random_unitary,
     spawn_rng,
+    unitarity_defect,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -146,6 +151,25 @@ class TestCompatibilityResidual:
             pull = compatibility_residual(k, lp, f)
             push = choi_distance(conjugate_kraus(k, f), lp)
             assert abs(pull - push) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 8, 32])
+    def test_verdict_at_tolerance_matches_dense_oracle(self, d):
+        # Scaling K_1 by sqrt(1 + eps) moves the Choi matrix by exactly
+        # eps ||K_1||_F^2; the S' set is that perturbed set, conjugated.
+        k = random_kraus_set(d, 4, spawn_rng(67, d, 0))
+        f = FrameTransform(random_unitary(d, spawn_rng(67, d, 1)))
+        tol = CHANNEL_EQUALITY_TOL
+        norm_sq = float(np.vdot(k.ops[0], k.ops[0]).real)
+        for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+            eps = factor * tol / norm_sq
+            ops = [np.sqrt(1.0 + eps) * k.ops[0], *k.ops[1:]]
+            perturbed = KrausSet(ops, trace_preserving=False)
+            dense = frobenius_distance(choi_matrix(k).mat, choi_matrix(perturbed).mat)
+            rep = analyze(k, conjugate_kraus(perturbed, f), f, tol)
+            assert abs(rep.residual - dense) <= 1e-12
+            assert (dense > tol) == (factor > 1.0)
+            assert (rep.verdict is Verdict.INCOMPATIBLE) == (dense > tol)
+            assert channels_equal(k, perturbed, tol) == (dense <= tol)
 
 
 class TestMixKraus:
@@ -393,6 +417,43 @@ class TestExtractMixing:
         dependent = KrausSet([S2 * I2, S2 * I2])
         rotated = mix_kraus(dependent, MixingUnitary(H))
         assert extract_mixing(dependent, rotated) is None
+
+    @pytest.mark.parametrize("d,n", [(2, 16), (3, 10)])
+    def test_more_operators_than_operator_space(self, d, n):
+        k = random_kraus_set(d, n, spawn_rng(93, d, n, 0))
+        l = mix_kraus(k, MixingUnitary(random_unitary(n, spawn_rng(93, d, n, 1))))
+        assert extract_mixing(k, l) is None
+        assert extract_mixing(k, k) is None
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_nearly_dependent_operators(self, d):
+        # K = {A, A + delta B, C}: the smallest Gram eigenvalue falls like
+        # delta^2 and crosses GRAM_MIN_EIGENVALUE inside the scanned range.
+        rng = spawn_rng(95, d)
+        a, b, c = (
+            rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            for _ in range(3)
+        )
+        v0 = random_unitary(3, spawn_rng(95, d, 1))
+        declined = recovered = 0
+        for delta in np.logspace(-7, -1, 25):
+            k = KrausSet([a, a + delta * b, c], trace_preserving=False)
+            l = mix_kraus(k, MixingUnitary(v0))
+            lam_min = float(np.linalg.eigvalsh(kraus_gram(k.ops))[0])
+            got = extract_mixing(k, l)
+            if got is None:
+                assert lam_min <= 1.01 * GRAM_MIN_EIGENVALUE, f"delta {delta:.1e}"
+                declined += 1
+                continue
+            # a returned V is never wrong: unitary, and it rebuilds L
+            assert lam_min >= 0.99 * GRAM_MIN_EIGENVALUE, f"delta {delta:.1e}"
+            assert unitarity_defect(got.mat) <= CHANNEL_EQUALITY_TOL
+            rebuilt = mix_kraus(k, got)
+            for want, have in zip(l.ops, rebuilt.ops):
+                assert frobenius_distance(want, have) <= k.rank * CHANNEL_EQUALITY_TOL
+            assert frobenius_distance(got.mat, v0) <= 1e-8
+            recovered += 1
+        assert declined and recovered
 
     def test_rank_mismatch(self):
         with pytest.raises(ValueError, match="rank"):
