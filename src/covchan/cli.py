@@ -35,16 +35,13 @@ from .linalg import random_unitary, spawn_rng
 from .scenario import run_scenario
 from .serialization import (
     InputError,
-    covariance_report_payload,
     dump_report,
     load_json,
-    n1_report_payload,
     parse_frame,
     parse_kraus_set,
     parse_matrix,
     parse_scenario_config,
     run_report,
-    scenario_result_payload,
 )
 
 __all__ = [
@@ -92,9 +89,11 @@ def freedom_sweep(dim: int, rank: int, trials: int, seed: int, tol: float):
     Each trial draws a channel, a frame, and a Haar mixing unitary, builds
     the mixed frame-S' set, and records the compatibility residual and the
     covariant distance (phase-aligned for rank 1, where the family is pure
-    phases). Returns ``(payload, falsified)``: a trial falsifies the
-    implementation when the mixed set fails compatibility, or, at rank 1,
-    when a compatible candidate sits far from the covariant solution.
+    phases). Returns ``(payload, falsified)``; ``min_nontrivial_distance``
+    is infinite, null in the report, when no mixing was nontrivial. A
+    trial falsifies the implementation when the mixed set fails
+    compatibility, or, at rank 1, when a compatible candidate sits far
+    from the covariant solution.
     """
     if dim < 1 or rank < 1 or trials < 1:
         raise InputError("dim, rank, and trials must all be >= 1")
@@ -159,9 +158,7 @@ def freedom_sweep(dim: int, rank: int, trials: int, seed: int, tol: float):
         "per_trial": per_trial,
         "summary": {
             "max_residual": max_residual,
-            "min_nontrivial_distance": (
-                None if math.isinf(min_nontrivial) else min_nontrivial
-            ),
+            "min_nontrivial_distance": min_nontrivial,
             "noncovariant_compatible": noncovariant_compatible,
             "nontrivial_mixings": nontrivial_mixings,
             "degenerate": degenerate,
@@ -175,19 +172,14 @@ def cmd_analyze(args) -> int:
     k = parse_kraus_set(load_json(args.kraus_file), args.kraus_file, args.tol)
     lprime = parse_kraus_set(load_json(args.lprime_file), args.lprime_file, args.tol)
     frame = parse_frame(load_json(args.lambda_file), args.lambda_file, args.tol)
-    try:
-        rep = analyze(k, lprime, frame, args.tol)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    rep = analyze(k, lprime, frame, args.tol)
     LOGGER.info(
         "analyze: residual %.3e distance %s verdict %s",
         rep.residual,
         f"{rep.covariant_distance:.3e}",
         rep.verdict.value,
     )
-    report = run_report(
-        "analyze", 0, args.tol, 0, covariance_report_payload(rep), __version__
-    )
+    report = run_report("analyze", 0, args.tol, 0, rep, __version__)
     dump_report(report, args.out)
     return 2 if rep.verdict is Verdict.INCOMPATIBLE else 0
 
@@ -206,19 +198,14 @@ def cmd_freedom_sweep(args) -> int:
 def cmd_n1_search(args) -> int:
     k1 = parse_matrix(load_json(args.k1_file), args.k1_file)
     frame = parse_frame(load_json(args.lambda_file), args.lambda_file, args.tol)
-    try:
-        rep = n1_covariance_search(k1, frame, args.trials, args.seed, tol=args.tol)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    rep = n1_covariance_search(k1, frame, args.trials, args.seed, tol=args.tol)
     LOGGER.info(
         "n1-search: examined %d candidates, min constrained residual %s, %d violations",
         rep.examined,
         "none" if math.isinf(rep.min_residual) else f"{rep.min_residual:.3e}",
         rep.violation_count,
     )
-    report = run_report(
-        "n1-search", args.seed, args.tol, args.trials, n1_report_payload(rep), __version__
-    )
+    report = run_report("n1-search", args.seed, args.tol, args.trials, rep, __version__)
     dump_report(report, args.out)
     return 3 if rep.violation_count else 0
 
@@ -227,18 +214,13 @@ def cmd_scenario(args) -> int:
     cfg = parse_scenario_config(
         load_json(args.config_file), args.config_file, CHANNEL_EQUALITY_TOL
     )
-    try:
-        result = run_scenario(cfg)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    result = run_scenario(cfg)
     LOGGER.info(
         "scenario: covariance defect %.3e verdict %s",
         result.covariance_defect,
         result.verdict.value,
     )
-    report = run_report(
-        "scenario", 0, cfg.tol, 0, scenario_result_payload(result), __version__
-    )
+    report = run_report("scenario", 0, cfg.tol, 0, result, __version__)
     dump_report(report, args.out)
     return 0 if result.covariance_defect <= cfg.tol else 2
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -78,22 +78,34 @@ GRAM_MIN_EIGENVALUE = 1e-8
 # phase alignment) counts as trivially covariant in searches and sweeps.
 PHASE_DISTANCE_FLOOR = 1e-6
 
+# Descents from fresh random starts in the single-operator search.
+_N1_RESTARTS = 3
+
 
 @dataclass(frozen=True, eq=False)
-class FrameTransform:
-    """Unitary implementing the change of frame on states and operators."""
+class _Unitary:
+    """A square complex matrix checked unitary within ``unitarity_tol``."""
 
     mat: np.ndarray
     unitarity_tol: InitVar[float] = UNITARY_TOL
 
+    _name = "unitary"  # names the matrix in validation errors
+
     def __post_init__(self, unitarity_tol: float):
-        mat = as_cmatrix(self.mat, name="frame transform")
+        mat = as_cmatrix(self.mat, name=self._name)
         if mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"frame transform must be square, got {mat.shape}")
+            raise ValueError(f"{self._name} must be square, got {mat.shape}")
         defect = unitarity_defect(mat)
         if defect > unitarity_tol:
-            raise ValueError(f"frame transform is not unitary: defect {defect:.3e}")
+            raise ValueError(f"{self._name} is not unitary: defect {defect:.3e}")
         object.__setattr__(self, "mat", mat)
+
+
+@dataclass(frozen=True, eq=False)
+class FrameTransform(_Unitary):
+    """Unitary implementing the change of frame on states and operators."""
+
+    _name = "frame transform"
 
     @property
     def dim(self) -> int:
@@ -104,20 +116,10 @@ class FrameTransform:
 
 
 @dataclass(frozen=True, eq=False)
-class MixingUnitary:
+class MixingUnitary(_Unitary):
     """N x N unitary reshuffling Kraus elements without changing the channel."""
 
-    mat: np.ndarray
-    unitarity_tol: InitVar[float] = UNITARY_TOL
-
-    def __post_init__(self, unitarity_tol: float):
-        mat = as_cmatrix(self.mat, name="mixing unitary")
-        if mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"mixing unitary must be square, got {mat.shape}")
-        defect = unitarity_defect(mat)
-        if defect > unitarity_tol:
-            raise ValueError(f"mixing unitary is not unitary: defect {defect:.3e}")
-        object.__setattr__(self, "mat", mat)
+    _name = "mixing unitary"
 
     @property
     def rank(self) -> int:
@@ -392,11 +394,11 @@ class N1SearchReport:
     min_residual: float
     best_phase_distance: float | None
     best_candidate: np.ndarray | None
+    violation_count: int = field(init=False)
     violations: tuple
 
-    @property
-    def violation_count(self) -> int:
-        return len(self.violations)
+    def __post_init__(self):
+        object.__setattr__(self, "violation_count", len(self.violations))
 
 
 def _hermitian_basis(d: int):
@@ -440,19 +442,18 @@ def n1_covariance_search(
     trials: int,
     seed: int,
     tol: float = CHANNEL_EQUALITY_TOL,
-    distance_floor: float = PHASE_DISTANCE_FLOOR,
-    restarts: int = 3,
 ) -> N1SearchReport:
     """Search for a single-operator counterexample to covariance rigidity.
 
     Samples random unitary candidates for the frame-S' operator and then
     runs a gradient-free descent on the unitary group (one step per
-    Hermitian generator direction, shrinking step size, several restarts),
-    minimizing the compatibility residual while staying at least
-    ``distance_floor`` away from the covariant solution in phase-aligned
-    distance. Rigidity predicts the constrained minimum stays orders of
-    magnitude above ``tol``; any candidate below it is recorded as a
-    violation (which would indict this implementation, not the math).
+    Hermitian generator direction, shrinking step size, three restarts),
+    minimizing the compatibility residual while staying more than
+    ``PHASE_DISTANCE_FLOOR`` away from the covariant solution in
+    phase-aligned distance. Rigidity predicts the constrained minimum
+    stays orders of magnitude above ``tol``; any candidate below it is
+    recorded as a violation (which would indict this implementation, not
+    the math).
 
     Deterministic in (inputs, trials, seed); candidates are evaluated in a
     fixed order and streams are keyed per trial index.
@@ -479,7 +480,7 @@ def n1_covariance_search(
         nonlocal min_residual, best_phase_distance, best_candidate, examined
         examined += 1
         phase_dist, _ = phase_aligned_distance(target, cand)
-        if phase_dist <= distance_floor:
+        if phase_dist <= PHASE_DISTANCE_FLOOR:
             return math.inf
         residual = _rank1_choi_residual(target, cand)
         if residual < min_residual:
@@ -498,7 +499,7 @@ def n1_covariance_search(
         consider(random_unitary(d, spawn_rng(seed, 0, i)))
 
     generators = [np.linalg.eigh(g) for g in _hermitian_basis(d)]
-    for r in range(restarts):
+    for r in range(_N1_RESTARTS):
         u = random_unitary(d, spawn_rng(seed, 1, r))
         best = consider(u)
         step = 0.5
@@ -520,7 +521,7 @@ def n1_covariance_search(
         dim=d,
         trials=trials,
         tol=tol,
-        distance_floor=distance_floor,
+        distance_floor=PHASE_DISTANCE_FLOOR,
         examined=examined,
         min_residual=min_residual,
         best_phase_distance=best_phase_distance,

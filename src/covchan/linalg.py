@@ -11,21 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "Seed",
     "as_cmatrix",
     "dagger",
     "frobenius_distance",
-    "matmul",
     "random_density",
     "random_unitary",
     "spawn_rng",
     "unitarity_defect",
 ]
-
-# Anything numpy's default_rng accepts; integers give the documented
-# reproducibility guarantee.
-Seed = "int | np.random.SeedSequence | np.random.Generator"
-
 
 def as_cmatrix(a, *, name: str = "matrix") -> np.ndarray:
     """Copy ``a`` into a read-only 2-D complex128 array.
@@ -39,15 +32,6 @@ def as_cmatrix(a, *, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name}: entries must be finite")
     arr.setflags(write=False)
     return arr
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

@@ -32,6 +32,7 @@ from .covariance import (
     MixingUnitary,
     Verdict,
     conjugate_kraus,
+    covariant_distance,
     mix_kraus,
     transform_state,
 )
@@ -271,15 +272,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         k_joint = embed_local(iv.kraus, iv.target, cfg.dim_a, cfg.dim_b)
         l_joint = _sprime_set(iv, k_joint, cfg)
 
-        covariant = conjugate_kraus(k_joint, cfg.frame)
-        if l_joint.rank == covariant.rank:
-            rep = max(
-                frobenius_distance(a, b)
-                for a, b in zip(l_joint.ops, covariant.ops)
-            )
-        else:
-            rep = math.inf
-        representation_distance = max(representation_distance, rep)
+        representation_distance = max(
+            representation_distance, covariant_distance(k_joint, l_joint, cfg.frame)
+        )
 
         probs_s = _branch_probabilities(k_joint.ops, rho)
         probs_sp = _branch_probabilities(l_joint.ops, sigma)

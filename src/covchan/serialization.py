@@ -2,15 +2,18 @@
 
 Matrices travel as ``{"rows": r, "cols": c, "data": [[re, im], ...]}`` with
 the data flat in row-major order; Kraus sets as ``{"dim": d, "ops":
-[matrix, ...]}``. Parse errors always name the offending field. Report
-floats rely on Python's shortest round-trip repr, so identical payloads
-serialize to identical bytes; non-finite values become null. Reports are
-written atomically (temp file, then rename), so a failed run never leaves
-a partial report behind.
+[matrix, ...]}``. Parse errors always name the offending field. Reports
+are encoded straight from the result dataclasses, keys in field order.
+Report floats rely on Python's shortest round-trip repr, so identical
+results serialize to identical bytes; non-finite values become null.
+Reports are written atomically (temp file, then rename), so a failed run
+never leaves a partial report behind.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import json
 import math
 import os
@@ -20,29 +23,20 @@ import tempfile
 import numpy as np
 
 from .channels import COMPLETENESS_TOL, DensityMatrix, KrausSet
-from .covariance import (
-    UNITARY_TOL,
-    CovarianceReport,
-    FrameTransform,
-    MixingUnitary,
-    N1SearchReport,
-)
-from .scenario import Intervention, ScenarioConfig, ScenarioResult, Target
+from .covariance import UNITARY_TOL, FrameTransform, MixingUnitary
+from .scenario import Intervention, ScenarioConfig, Target
 
 __all__ = [
     "InputError",
-    "covariance_report_payload",
     "dump_report",
     "load_json",
     "matrix_to_obj",
-    "n1_report_payload",
     "parse_density",
     "parse_frame",
     "parse_kraus_set",
     "parse_matrix",
     "parse_scenario_config",
     "run_report",
-    "scenario_result_payload",
 ]
 
 
@@ -112,11 +106,11 @@ def parse_matrix(obj, path: str) -> np.ndarray:
 
 
 def matrix_to_obj(m) -> dict:
-    m = np.asarray(m, dtype=np.complex128)
+    m = np.ascontiguousarray(m, dtype=np.complex128)
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
+        "data": m.view(np.float64).reshape(-1, 2).tolist(),
     }
 
 
@@ -245,98 +239,48 @@ def parse_scenario_config(obj, path: str, default_tol: float) -> ScenarioConfig:
         raise InputError(f"{path}: {e}") from e
 
 
-def _jfloat(x: float):
-    x = float(x)
-    return x if math.isfinite(x) else None
+def _jsonable(obj):
+    """Encode a report value for ``json.dumps``.
 
-
-def covariance_report_payload(rep: CovarianceReport) -> dict:
-    return {
-        "residual": _jfloat(rep.residual),
-        "covariant_distance": _jfloat(rep.covariant_distance),
-        "rank": rep.rank,
-        "dim": rep.dim,
-        "tol": _jfloat(rep.tol),
-        "verdict": rep.verdict.value,
-    }
-
-
-def _density_obj(state: DensityMatrix | None):
-    return None if state is None else matrix_to_obj(state.mat)
-
-
-def scenario_result_payload(res: ScenarioResult) -> dict:
-    return {
-        "dim_a": res.dim_a,
-        "dim_b": res.dim_b,
-        "interventions": [
-            {
-                "label": rec.label,
-                "target": rec.target.value,
-                "probabilities_s": [_jfloat(p) for p in rec.probabilities_s],
-                "probabilities_sprime": [_jfloat(p) for p in rec.probabilities_sprime],
-                "probability_defect": _jfloat(rec.probability_defect),
-            }
-            for rec in res.interventions
-        ],
-        "branches": [
-            {
-                "sequence": list(br.sequence),
-                "probability_s": _jfloat(br.probability_s),
-                "probability_sprime": _jfloat(br.probability_sprime),
-                "state_s": _density_obj(br.state_s),
-                "state_sprime": _density_obj(br.state_sprime),
-            }
-            for br in res.branches
-        ],
-        "final_state_s": _density_obj(res.final_state_s),
-        "final_state_sprime": _density_obj(res.final_state_sprime),
-        "probability_defect": _jfloat(res.probability_defect),
-        "state_defect": _jfloat(res.state_defect),
-        "covariance_defect": _jfloat(res.covariance_defect),
-        "representation_distance": _jfloat(res.representation_distance),
-        "tol": _jfloat(res.tol),
-        "verdict": res.verdict.value,
-    }
-
-
-def n1_report_payload(rep: N1SearchReport) -> dict:
-    return {
-        "dim": rep.dim,
-        "trials": rep.trials,
-        "tol": _jfloat(rep.tol),
-        "distance_floor": _jfloat(rep.distance_floor),
-        "examined": rep.examined,
-        "min_residual": _jfloat(rep.min_residual),
-        "best_phase_distance": (
-            None if rep.best_phase_distance is None else _jfloat(rep.best_phase_distance)
-        ),
-        "best_candidate": (
-            None if rep.best_candidate is None else matrix_to_obj(rep.best_candidate)
-        ),
-        "violation_count": rep.violation_count,
-        "violations": [
-            {
-                "residual": _jfloat(v.residual),
-                "phase_distance": _jfloat(v.phase_distance),
-                "candidate": matrix_to_obj(v.candidate),
-            }
-            for v in rep.violations
-        ],
-    }
+    Result dataclasses become dicts in field order, so the dataclasses are
+    the report schema. Non-finite floats become null; enums their value;
+    density matrices and arrays the matrix file format.
+    """
+    if isinstance(obj, float):
+        return float(obj) if math.isfinite(obj) else None
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, DensityMatrix):
+        return matrix_to_obj(obj.mat)
+    if isinstance(obj, np.ndarray):
+        return matrix_to_obj(obj)
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {
+            f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)
+        }
+    raise TypeError(f"cannot encode {type(obj).__name__} in a report")
 
 
 def run_report(
     command: str, seed: int, tolerance: float, trials: int, results, version: str
 ) -> dict:
-    return {
-        "command": command,
-        "seed": seed,
-        "tolerance": _jfloat(tolerance),
-        "trials": trials,
-        "results": results,
-        "version": version,
-    }
+    """The JSON-ready report envelope around a result dataclass or dict."""
+    return _jsonable(
+        {
+            "command": command,
+            "seed": seed,
+            "tolerance": tolerance,
+            "trials": trials,
+            "results": results,
+            "version": version,
+        }
+    )
 
 
 def dump_report(report: dict, out: str | None) -> None:

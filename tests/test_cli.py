@@ -8,6 +8,7 @@ from covchan.cli import main
 from covchan.linalg import random_unitary, spawn_rng
 from covchan.serialization import (
     InputError,
+    _jsonable,
     matrix_to_obj,
     parse_kraus_set,
     parse_matrix,
@@ -93,11 +94,20 @@ def fixtures(tmp_path):
 
 class TestMatrixFileFormat:
     def test_round_trip_identity(self):
+        inputs = []
         for trial in range(30):
             rng = spawn_rng(1, trial)
-            m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-            back = parse_matrix(matrix_to_obj(m), "m")
+            inputs.append(rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)))
+        inputs.append(inputs[0].T)  # non-contiguous view
+        inputs.append(np.array([[-0.0, 1.5], [0.0, -2.0]]))  # real, signed zero
+        for m in inputs:
+            obj = matrix_to_obj(m)
+            # per-entry reference; comparing JSON text also compares signs of zero
+            loop = [[float(z.real), float(z.imag)] for z in np.asarray(m, complex).reshape(-1)]
+            assert json.dumps(obj["data"]) == json.dumps(loop)
+            back = parse_matrix(obj, "m")
             assert np.array_equal(back, m)
+            assert np.array_equal(np.signbit(back.real), np.signbit(np.real(m)))
 
     def test_missing_field_named(self):
         with pytest.raises(InputError, match=r"m\.rows"):
@@ -352,3 +362,95 @@ class TestCliPlumbing:
         )
         assert code == 0
         assert capsys.readouterr().err == ""
+
+
+class TestReportSchema:
+    """Report keys follow the result dataclasses' field order."""
+
+    MATRIX_KEYS = ["rows", "cols", "data"]
+
+    def _results(self, argv, capsys, code=0):
+        assert main(argv) == code
+        report = json.loads(capsys.readouterr().out)
+        assert list(report) == ["command", "seed", "tolerance", "trials", "results", "version"]
+        return report["results"]
+
+    def test_analyze(self, fixtures, capsys):
+        res = self._results(
+            ["analyze", fixtures["dephase"], fixtures["dephase"], fixtures["lam_ident"]], capsys
+        )
+        assert list(res) == ["residual", "covariant_distance", "rank", "dim", "tol", "verdict"]
+
+    def test_analyze_rank_mismatch_distance_is_null(self, fixtures, capsys):
+        halves = _write(fixtures["tmp"], "halves.json", _kraus_obj([S2 * I2, S2 * I2]))
+        res = self._results(["analyze", fixtures["ident"], halves, fixtures["lam_ident"]], capsys)
+        assert res["covariant_distance"] is None
+        assert res["verdict"] == "NONCOVARIANT_COMPATIBLE"
+
+    def test_freedom_sweep(self, capsys):
+        res = self._results(
+            ["freedom-sweep", "--dim", "2", "--rank", "2", "--trials", "5", "--seed", "3"], capsys
+        )
+        assert list(res) == ["dim", "rank", "per_trial", "summary"]
+        assert list(res["per_trial"][0]) == [
+            "trial", "residual", "covariant_distance", "mixing_distance",
+            "nontrivial_mixing", "degenerate",
+        ]
+        assert list(res["summary"]) == [
+            "max_residual", "min_nontrivial_distance", "noncovariant_compatible",
+            "nontrivial_mixings", "degenerate",
+        ]
+        for trial in res["per_trial"]:
+            assert type(trial["nontrivial_mixing"]) is bool
+            assert type(trial["degenerate"]) is bool
+
+    def test_freedom_sweep_without_nontrivial_mixing(self, capsys):
+        res = self._results(
+            ["freedom-sweep", "--dim", "2", "--rank", "1", "--trials", "3"], capsys
+        )
+        assert res["summary"]["min_nontrivial_distance"] is None
+        assert res["per_trial"][0]["nontrivial_mixing"] is False
+
+    def test_n1_search(self, fixtures, capsys):
+        # a tolerance this loose turns every candidate away from the
+        # covariant solution into a violation, so the list is nonempty
+        res = self._results(
+            ["n1-search", fixtures["k1_ident"], fixtures["lam_ident"],
+             "--trials", "2", "--tol", "10"],
+            capsys,
+            code=3,
+        )
+        assert list(res) == [
+            "dim", "trials", "tol", "distance_floor", "examined", "min_residual",
+            "best_phase_distance", "best_candidate", "violation_count", "violations",
+        ]
+        assert list(res["best_candidate"]) == self.MATRIX_KEYS
+        assert res["violation_count"] == len(res["violations"]) > 0
+        violation = res["violations"][0]
+        assert list(violation) == ["residual", "phase_distance", "candidate"]
+        assert list(violation["candidate"]) == self.MATRIX_KEYS
+
+    def test_scenario(self, fixtures, capsys):
+        res = self._results(["scenario", fixtures["scenario"]], capsys)
+        assert list(res) == [
+            "dim_a", "dim_b", "interventions", "branches", "final_state_s",
+            "final_state_sprime", "probability_defect", "state_defect",
+            "covariance_defect", "representation_distance", "tol", "verdict",
+        ]
+        assert list(res["interventions"][0]) == [
+            "label", "target", "probabilities_s", "probabilities_sprime",
+            "probability_defect",
+        ]
+        assert res["interventions"][0]["target"] == "A"
+        branch = res["branches"][0]
+        assert list(branch) == [
+            "sequence", "probability_s", "probability_sprime", "state_s", "state_sprime",
+        ]
+        assert branch["sequence"] == [0]
+        assert list(branch["state_s"]) == self.MATRIX_KEYS
+        assert list(res["final_state_s"]) == self.MATRIX_KEYS
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, 1j, [np.int64(1)]])
+    def test_encoder_rejects_unknown_objects(self, value):
+        with pytest.raises(TypeError, match="cannot encode"):
+            _jsonable(value)

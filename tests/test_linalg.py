@@ -5,7 +5,6 @@ from covchan.linalg import (
     as_cmatrix,
     dagger,
     frobenius_distance,
-    matmul,
     random_density,
     random_unitary,
     spawn_rng,
@@ -41,39 +40,6 @@ class TestAsCMatrix:
             as_cmatrix([1, 2, 3])
 
 
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(0)
-        m = _random_complex(rng, 2, 2)
-        assert np.allclose(matmul(I2, m), m)
-
-    def test_pauli_involution(self):
-        assert np.allclose(matmul(X, X), I2)
-
-    def test_matches_scalar_loop(self):
-        rng = np.random.default_rng(1)
-        a = _random_complex(rng, 3, 3)
-        b = _random_complex(rng, 3, 3)
-        got = matmul(a, b)
-        for i in range(3):
-            for j in range(3):
-                want = sum(a[i, k] * b[k, j] for k in range(3))
-                assert abs(got[i, j] - want) < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="multiply"):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    @pytest.mark.parametrize("d", [2, 4, 8])
-    def test_associative(self, d):
-        rng = np.random.default_rng(d)
-        for _ in range(20):
-            a, b, c = (_random_complex(rng, d, d) for _ in range(3))
-            lhs = matmul(matmul(a, b), c)
-            rhs = matmul(a, matmul(b, c))
-            assert frobenius_distance(lhs, rhs) <= 1e-10
-
-
 class TestDagger:
     def test_identity(self):
         assert np.array_equal(dagger(I2), I2)
@@ -92,8 +58,8 @@ class TestDagger:
         rng = np.random.default_rng(3)
         a = _random_complex(rng, 4, 4)
         b = _random_complex(rng, 4, 4)
-        lhs = dagger(matmul(a, b))
-        rhs = matmul(dagger(b), dagger(a))
+        lhs = dagger(a @ b)
+        rhs = dagger(b) @ dagger(a)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
