@@ -15,6 +15,9 @@ thin QR ``W = Q R`` the Choi distance is ``||R J R^dagger||_F``, an
 (N+M)-square matrix, so no d^2 x d^2 matrix is ever built.
 :func:`choi_matrix` builds the dense matrix and is kept as the reference
 that the factored form is tested against.
+
+Every operator sum goes through one batched kernel, ``_kraus_images``,
+which maps a stack of matrices to their branch images ``K_A M K_A^dagger``.
 """
 
 from __future__ import annotations
@@ -176,22 +179,26 @@ class ChoiMatrix:
         object.__setattr__(self, "mat", mat)
 
 
+def _kraus_images(ops, mats) -> np.ndarray:
+    """Branch images ``K_A M K_A^dagger``, shape ``(..., N, d, d)``.
+
+    ``ops`` holds N operators; ``mats`` is one matrix or a stack of them.
+    """
+    ops = np.asarray(ops, dtype=np.complex128)
+    mats = np.asarray(mats)
+    d = mats.shape[-2]
+    if ops.shape[-1] != d:
+        raise ValueError(f"operator shape {ops.shape[1:]} does not act on dim {d}")
+    return ops @ mats[..., None, :, :] @ ops.conj().swapaxes(-1, -2)
+
+
 def apply_kraus(ops, mat: np.ndarray) -> np.ndarray:
     """Raw operator-sum action ``sum_A K_A M K_A^dagger`` on any matrix.
 
     No completeness, trace, or Hermiticity requirements; used for selective
     branches and for probing the channel on non-Hermitian basis elements.
     """
-    mat = np.asarray(mat)
-    d = mat.shape[0]
-    out = np.zeros((d, d), dtype=np.complex128)
-    for op in ops:
-        if op.shape[1] != d:
-            raise ValueError(
-                f"operator shape {op.shape} does not act on dim {d}"
-            )
-        out += op @ mat @ dagger(op)
-    return out
+    return _kraus_images(ops, mat).sum(axis=0)
 
 
 def apply_channel(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
@@ -208,22 +215,26 @@ def apply_channel(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
         )
     if k.dim != rho.dim:
         raise ValueError(f"dimension mismatch: channel {k.dim} vs state {rho.dim}")
-    out = apply_kraus(k.ops, rho.mat)
+    return _output_state(apply_kraus(k.ops, rho.mat), 2.0 * completeness_defect(k))
+
+
+def _output_state(out: np.ndarray, slack: float) -> DensityMatrix:
+    """Symmetrize an evolved state; validate trace and positivity with ``slack``."""
     out = 0.5 * (out + dagger(out))
-    slack = 2.0 * completeness_defect(k)
-    return DensityMatrix(
-        out,
-        trace_tol=max(TRACE_TOL, slack),
-        psd_tol=max(PSD_TOL, slack),
-    )
+    return DensityMatrix(out, trace_tol=max(TRACE_TOL, slack), psd_tol=max(PSD_TOL, slack))
 
 
 def completeness_defect(k: KrausSet) -> float:
     """``|| sum_A K_A^dagger K_A - I ||_F``; zero iff trace-preserving."""
-    acc = np.zeros((k.dim, k.dim), dtype=np.complex128)
-    for op in k.ops:
-        acc += dagger(op) @ op
+    ops = np.asarray(k.ops)
+    acc = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0)
     return frobenius_distance(acc, np.eye(k.dim))
+
+
+def _derived_set(k: KrausSet, ops, scale: float = 1.0) -> KrausSet:
+    """A set made from ``k``'s operators, with slack for ``scale`` times its defect."""
+    tol = max(COMPLETENESS_TOL, scale * completeness_defect(k) + 1e-10)
+    return KrausSet(ops, trace_preserving=k.trace_preserving, completeness_tol=tol)
 
 
 def choi_matrix(k: KrausSet) -> ChoiMatrix:

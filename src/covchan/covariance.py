@@ -23,14 +23,13 @@ import numpy as np
 
 from .channels import (
     CHANNEL_EQUALITY_TOL,
-    COMPLETENESS_TOL,
-    PSD_TOL,
-    TRACE_TOL,
     DensityMatrix,
     KrausSet,
+    _derived_set,
     _factored_choi,
+    _kraus_images,
+    _output_state,
     choi_distance,
-    completeness_defect,
 )
 from .linalg import (
     as_cmatrix,
@@ -157,12 +156,8 @@ def transform_state(rho: DensityMatrix, f: FrameTransform) -> DensityMatrix:
     """Covariant state map ``rho -> Lam rho Lam^dagger``; spectrum-preserving."""
     if rho.dim != f.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim} vs frame {f.dim}")
-    out = f.mat @ rho.mat @ dagger(f.mat)
-    out = 0.5 * (out + dagger(out))
-    slack = 2.0 * unitarity_defect(f.mat)
-    return DensityMatrix(
-        out, trace_tol=max(TRACE_TOL, slack), psd_tol=max(PSD_TOL, slack)
-    )
+    out = _kraus_images([f.mat], rho.mat)[0]
+    return _output_state(out, 2.0 * unitarity_defect(f.mat))
 
 
 def conjugate_kraus(k: KrausSet, f: FrameTransform) -> KrausSet:
@@ -173,13 +168,7 @@ def conjugate_kraus(k: KrausSet, f: FrameTransform) -> KrausSet:
     """
     if k.dim != f.dim:
         raise ValueError(f"dimension mismatch: set {k.dim} vs frame {f.dim}")
-    lam = f.mat
-    lam_dag = dagger(lam)
-    ops = [lam @ op @ lam_dag for op in k.ops]
-    tol = max(COMPLETENESS_TOL, completeness_defect(k) + 1e-10)
-    return KrausSet(
-        ops, trace_preserving=k.trace_preserving, completeness_tol=tol
-    )
+    return _derived_set(k, _kraus_images([f.mat], k.ops)[:, 0])
 
 
 def compatibility_residual(k: KrausSet, lprime: KrausSet, f: FrameTransform) -> float:
@@ -206,12 +195,7 @@ def mix_kraus(k: KrausSet, v: MixingUnitary) -> KrausSet:
     """
     if v.rank != k.rank:
         raise ValueError(f"rank mismatch: mixing {v.rank} vs set {k.rank}")
-    stacked = np.stack(k.ops)
-    mixed = np.einsum("ab,bij->aij", v.mat, stacked)
-    tol = max(COMPLETENESS_TOL, completeness_defect(k) + 1e-10)
-    return KrausSet(
-        list(mixed), trace_preserving=k.trace_preserving, completeness_tol=tol
-    )
+    return _derived_set(k, np.einsum("ab,bij->aij", v.mat, k.ops))
 
 
 def make_noncovariant_solution(
@@ -235,10 +219,12 @@ def covariant_distance(k: KrausSet, lprime: KrausSet, f: FrameTransform) -> floa
         )
     if k.rank != lprime.rank:
         return math.inf
-    reference = conjugate_kraus(k, f)
-    return max(
-        frobenius_distance(a, b) for a, b in zip(lprime.ops, reference.ops)
-    )
+    return _operator_distance(lprime, conjugate_kraus(k, f))
+
+
+def _operator_distance(a: KrausSet, b: KrausSet) -> float:
+    """``max_A || a_A - b_A ||_F`` for sets of equal rank."""
+    return max(frobenius_distance(x, y) for x, y in zip(a.ops, b.ops))
 
 
 def analyze(
@@ -311,7 +297,7 @@ def _witness_states(d: int):
         for j in range(i + 1, d):
             states.append((eye[i] + eye[j]) / np.sqrt(2.0))
             states.append((eye[i] + 1j * eye[j]) / np.sqrt(2.0))
-    return states
+    return np.array(states)
 
 
 def _check_single_op_unitary(mat: np.ndarray, name: str, tol: float) -> None:
@@ -348,22 +334,18 @@ def n1_uniqueness_check(k1, l1, tol: float = CHANNEL_EQUALITY_TOL) -> N1CheckRes
             phase=phase,
         )
 
-    best_state = None
-    best_dist = -1.0
-    for psi in _witness_states(k1.shape[0]):
-        rho = np.outer(psi, psi.conj())
-        img_k = k1 @ rho @ dagger(k1)
-        img_l = l1 @ rho @ dagger(l1)
-        dist = frobenius_distance(img_k, img_l)
-        if dist > best_dist:
-            best_dist = dist
-            best_state = rho
-    witness = DensityMatrix(0.5 * (best_state + dagger(best_state)))
+    psis = _witness_states(k1.shape[0])
+    rhos = psis[:, :, None] * psis[:, None, :].conj()
+    images_k = _kraus_images([k1], rhos)[:, 0]
+    images_l = _kraus_images([l1], rhos)[:, 0]
+    dists = [frobenius_distance(a, b) for a, b in zip(images_k, images_l)]
+    best = int(np.argmax(dists))  # the first of equal maxima
+    witness = DensityMatrix(0.5 * (rhos[best] + dagger(rhos[best])))
     return N1CheckResult(
         verdict=PhaseEquivalence.DIFFERENT,
         distance=distance,
         witness=witness,
-        witness_distance=best_dist,
+        witness_distance=dists[best],
     )
 
 
@@ -468,7 +450,7 @@ def n1_covariance_search(
     _check_single_op_unitary(k1, "K1", max(tol, 1e-9))
 
     d = f.dim
-    target = f.mat @ k1 @ dagger(f.mat)
+    target = _kraus_images([f.mat], k1)[0]
 
     min_residual = math.inf
     best_phase_distance = None

@@ -14,6 +14,7 @@ but never folded into the defect.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,18 +22,17 @@ import numpy as np
 
 from .channels import (
     CHANNEL_EQUALITY_TOL,
-    COMPLETENESS_TOL,
     DensityMatrix,
     KrausSet,
-    apply_kraus,
-    completeness_defect,
+    _derived_set,
+    _kraus_images,
 )
 from .covariance import (
     FrameTransform,
     MixingUnitary,
     Verdict,
+    _operator_distance,
     conjugate_kraus,
-    covariant_distance,
     mix_kraus,
     transform_state,
 )
@@ -219,25 +219,22 @@ def embed_local(k: KrausSet, target: Target, dim_a: int, dim_b: int) -> KrausSet
         ops = [np.kron(eye, op) for op in k.ops]
         scale = math.sqrt(dim_a)
     # the identity factor multiplies the completeness defect by sqrt(dim)
-    tol = max(COMPLETENESS_TOL, scale * completeness_defect(k) + 1e-10)
-    return KrausSet(ops, trace_preserving=k.trace_preserving, completeness_tol=tol)
+    return _derived_set(k, ops, scale)
 
 
 def _sprime_set(
-    iv: Intervention, k_joint: KrausSet, cfg: ScenarioConfig
+    iv: Intervention, covariant: KrausSet, cfg: ScenarioConfig
 ) -> KrausSet:
     if iv.sprime_kraus is not None:
         return embed_local(iv.sprime_kraus, iv.target, cfg.dim_a, cfg.dim_b)
-    covariant = conjugate_kraus(k_joint, cfg.frame)
     if iv.mixing is not None:
         return mix_kraus(covariant, iv.mixing)
     return covariant
 
 
-def _branch_probabilities(ops, mat: np.ndarray) -> tuple:
-    return tuple(
-        float(np.trace(op @ mat @ dagger(op)).real) for op in ops
-    )
+def _probabilities(images: np.ndarray) -> list:
+    """Traces of a stack of branch images: the branch probabilities."""
+    return np.trace(images, axis1=-2, axis2=-1).real.tolist()
 
 
 def _renormalized(mat: np.ndarray, prob: float) -> DensityMatrix | None:
@@ -255,29 +252,35 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
     Frame S starts from the initial state; frame S' starts from its
     covariant transform and evolves through the per-intervention S' sets.
-    Marginal branch probabilities at each intervention are taken on the
-    non-selective state (by linearity these equal the true marginals), and
-    the full outcome tree is tracked for joint statistics and post-branch
-    states.
+    Marginal branch probabilities at each intervention are the traces of
+    the branch images of the non-selective state (by linearity these equal
+    the true marginals), and those images sum to the next non-selective
+    state. The leaves of the outcome tree, one stack per frame, give the
+    joint statistics and post-branch states.
     """
-    lam = cfg.frame.mat
     rho = cfg.initial_state.mat
     sigma = transform_state(cfg.initial_state, cfg.frame).mat
+    d = rho.shape[0]
 
     records = []
-    leaves = [((), rho, sigma)]
+    # the unnormalized leaf states, in outcome-sequence order
+    leaves_s = rho[None]
+    leaves_sp = sigma[None]
     representation_distance = 0.0
 
     for iv in cfg.interventions:
         k_joint = embed_local(iv.kraus, iv.target, cfg.dim_a, cfg.dim_b)
-        l_joint = _sprime_set(iv, k_joint, cfg)
+        covariant = conjugate_kraus(k_joint, cfg.frame)
+        l_joint = _sprime_set(iv, covariant, cfg)
 
         representation_distance = max(
-            representation_distance, covariant_distance(k_joint, l_joint, cfg.frame)
+            representation_distance, _operator_distance(l_joint, covariant)
         )
 
-        probs_s = _branch_probabilities(k_joint.ops, rho)
-        probs_sp = _branch_probabilities(l_joint.ops, sigma)
+        images_s = _kraus_images(k_joint.ops, rho)
+        images_sp = _kraus_images(l_joint.ops, sigma)
+        probs_s = tuple(_probabilities(images_s))
+        probs_sp = tuple(_probabilities(images_sp))
         defect = max(abs(p - q) for p, q in zip(probs_s, probs_sp))
         records.append(
             InterventionRecord(
@@ -289,51 +292,39 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             )
         )
 
-        if len(leaves) * k_joint.rank > _MAX_BRANCHES:
+        if len(leaves_s) * k_joint.rank > _MAX_BRANCHES:
             raise ValueError(
                 f"outcome tree exceeds {_MAX_BRANCHES} branches; "
                 "trim the intervention list"
             )
-        grown = []
-        for seq, mat_s, mat_sp in leaves:
-            for b, (op_s, op_sp) in enumerate(zip(k_joint.ops, l_joint.ops)):
-                grown.append(
-                    (
-                        seq + (b,),
-                        op_s @ mat_s @ dagger(op_s),
-                        op_sp @ mat_sp @ dagger(op_sp),
-                    )
-                )
-        leaves = grown
+        leaves_s = _kraus_images(k_joint.ops, leaves_s).reshape(-1, d, d)
+        leaves_sp = _kraus_images(l_joint.ops, leaves_sp).reshape(-1, d, d)
+        rho = images_s.sum(axis=0)
+        sigma = images_sp.sum(axis=0)
 
-        rho = apply_kraus(k_joint.ops, rho)
-        sigma = apply_kraus(l_joint.ops, sigma)
-
-    branches = []
-    for seq, mat_s, mat_sp in leaves:
-        p_s = float(np.trace(mat_s).real)
-        p_sp = float(np.trace(mat_sp).real)
-        branches.append(
-            BranchRecord(
-                sequence=seq,
-                probability_s=p_s,
-                probability_sprime=p_sp,
-                state_s=_renormalized(mat_s, p_s),
-                state_sprime=_renormalized(mat_sp, p_sp),
-            )
+    sequences = itertools.product(*(range(iv.kraus.rank) for iv in cfg.interventions))
+    leaf_probs = zip(_probabilities(leaves_s), _probabilities(leaves_sp))
+    branches = tuple(
+        BranchRecord(
+            sequence=seq,
+            probability_s=p_s,
+            probability_sprime=p_sp,
+            state_s=_renormalized(mat_s, p_s),
+            state_sprime=_renormalized(mat_sp, p_sp),
         )
-
-    probability_defect = 0.0
-    for rec in records:
-        probability_defect = max(probability_defect, rec.probability_defect)
-    for br in branches:
-        probability_defect = max(
-            probability_defect, abs(br.probability_s - br.probability_sprime)
+        for seq, (p_s, p_sp), mat_s, mat_sp in zip(
+            sequences, leaf_probs, leaves_s, leaves_sp
         )
+    )
+
+    probability_defect = max(
+        [0.0, *(rec.probability_defect for rec in records)]
+        + [abs(br.probability_s - br.probability_sprime) for br in branches]
+    )
 
     final_s = DensityMatrix(rho, herm_tol=1e-8, trace_tol=1e-8, psd_tol=1e-8)
     final_sp = DensityMatrix(sigma, herm_tol=1e-8, trace_tol=1e-8, psd_tol=1e-8)
-    state_defect = frobenius_distance(sigma, lam @ rho @ dagger(lam))
+    state_defect = frobenius_distance(sigma, _kraus_images([cfg.frame.mat], rho)[0])
     covariance_defect = max(probability_defect, state_defect)
 
     if covariance_defect > cfg.tol:
@@ -347,7 +338,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         dim_a=cfg.dim_a,
         dim_b=cfg.dim_b,
         interventions=tuple(records),
-        branches=tuple(branches),
+        branches=branches,
         final_state_s=final_s,
         final_state_sprime=final_sp,
         probability_defect=probability_defect,

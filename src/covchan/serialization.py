@@ -7,7 +7,8 @@ are encoded straight from the result dataclasses, keys in field order.
 Report floats rely on Python's shortest round-trip repr, so identical
 results serialize to identical bytes; non-finite values become null.
 Reports are written atomically (temp file, then rename), so a failed run
-never leaves a partial report behind.
+never leaves a partial report behind; the file gets the mode a plain
+``open(out, "w")`` would give a new file, ``0o666 & ~umask``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as e:
         raise InputError(f"{path}: {e.strerror or e}") from e
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # decode errors, undecodable bytes, and nesting too deep to parse
         raise InputError(f"{path}: invalid JSON: {e}") from e
 
 
@@ -78,7 +80,10 @@ def _as_int(value, path: str, minimum: int = None) -> int:
 def _as_real(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"{path}: expected a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise InputError(f"{path}: number out of range") from None
     if not math.isfinite(value):
         raise InputError(f"{path}: must be finite")
     return value
@@ -291,8 +296,12 @@ def dump_report(report: dict, out: str | None) -> None:
         return
     directory = os.path.dirname(os.path.abspath(out))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # mkstemp makes the file 0600; give it the mode open(out, "w") would
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp_path, out)
     except BaseException:

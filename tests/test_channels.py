@@ -8,6 +8,7 @@ from covchan.channels import (
     ChoiMatrix,
     DensityMatrix,
     KrausSet,
+    _kraus_images,
     apply_channel,
     apply_kraus,
     apply_to_matrix_units,
@@ -307,6 +308,30 @@ class TestFactoredOracle:
         far = self._assert_oracles_agree(single, other)
         assert far > CHANNEL_EQUALITY_TOL
         assert abs(choi_distance(other, single) - far) <= 1e-12
+
+
+class TestKrausImages:
+    """The batched operator-sum kernel against the per-operator products."""
+
+    @pytest.mark.parametrize("n", [1, 4, 16])
+    @pytest.mark.parametrize("d", [2, 4, 8, 16, 32])
+    def test_bitwise_per_operator_products(self, d, n):
+        ops = random_kraus_set(d, n, spawn_rng(37, d, n, 0)).ops
+        rng = spawn_rng(37, d, n, 1)
+        stack = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+        one = _kraus_images(ops, stack[0])
+        assert one.shape == (n, d, d)
+        for a, op in enumerate(ops):
+            assert np.array_equal(one[a], op @ stack[0] @ dagger(op))
+        many = _kraus_images(ops, stack)
+        assert many.shape == (3, n, d, d)
+        for m, mat in enumerate(stack):
+            for a, op in enumerate(ops):
+                assert np.array_equal(many[m, a], op @ mat @ dagger(op))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="does not act on dim 3"):
+            apply_kraus([I2], np.eye(3))
 
 
 def test_kraus_gram_values():

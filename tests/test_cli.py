@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -305,6 +307,60 @@ class TestScenarioCommand:
         assert code == 1
         assert "dim_b" in capsys.readouterr().err
 
+    def test_tree_over_branch_cap_exit_one(self, fixtures, capsys):
+        one = matrix_to_obj(np.ones((1, 1)))
+        keep_or_drop = {"dim": 1, "ops": [one, matrix_to_obj(np.zeros((1, 1)))]}
+        cfg = {
+            "dim_a": 1,
+            "dim_b": 1,
+            "initial_state": one,
+            "frame": one,
+            "interventions": [{"target": "JOINT", "kraus": keep_or_drop}] * 17,
+        }
+        code = main(["scenario", _write(fixtures["tmp"], "cap.json", cfg)])
+        assert code == 1
+        assert "65536 branches" in capsys.readouterr().err
+
+
+def _malformed_input(tmp, case):
+    """``(path, field)`` of one malformed input file; field may be empty."""
+    if case == "entry-overflow":
+        obj = _kraus_obj([I2])
+        obj["ops"][0]["data"][0][0] = 10**400
+        return _write(tmp, "entry.json", obj), ".ops[0].data[0][0]"
+    if case == "tol-overflow":
+        obj = json.loads((tmp / "scenario.json").read_text())
+        obj["tol"] = 10**400
+        return _write(tmp, "tol.json", obj), ".tol"
+    path = tmp / "bad.json"
+    if case == "deep-nesting":
+        path.write_text("[" * 200000 + "]" * 200000)
+    else:
+        path.write_bytes(b"\xff\xfe{}")
+    return str(path), ""
+
+
+class TestMalformedInputFiles:
+    """Each bad file gives exit 1 and one error line naming it, no traceback."""
+
+    @pytest.mark.parametrize(
+        "case", ["entry-overflow", "tol-overflow", "deep-nesting", "not-utf8"]
+    )
+    def test_single_error_line(self, fixtures, capsys, case):
+        path, field = _malformed_input(fixtures["tmp"], case)
+        if case == "tol-overflow":
+            argv = ["scenario", path]
+        else:
+            argv = ["analyze", path, fixtures["ident"], fixtures["lam_ident"]]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {path}{field}: ")
+        assert "Traceback" not in captured.err
+
 
 class TestCliPlumbing:
     def test_unknown_flag_exit_one(self, capsys):
@@ -339,6 +395,20 @@ class TestCliPlumbing:
         assert code == 1
         assert not out.exists()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_out_file_mode_follows_umask(self, fixtures, umask, mode):
+        out = fixtures["tmp"] / "report.json"
+        old = os.umask(umask)
+        try:
+            code = main(
+                ["analyze", fixtures["ident"], fixtures["ident"], fixtures["lam_ident"],
+                 "--out", str(out)]
+            )
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert stat.S_IMODE(out.stat().st_mode) == mode
 
     def test_log_env_goes_to_stderr_only(self, fixtures, capsys, monkeypatch):
         monkeypatch.setenv("COVCHAN_LOG", "debug")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -273,6 +275,38 @@ def test_null_branch_reported_as_none():
     assert dead.probability_s <= 1e-12
     assert dead.state_s is None
     assert dead.state_sprime is None
+
+
+class TestBranchCap:
+    """The outcome tree stops at 65536 branches."""
+
+    # d = 1: one branch keeps the whole state, the other is always null
+    KEEP_OR_DROP = KrausSet([np.ones((1, 1)), np.zeros((1, 1))])
+
+    def _config(self, n_interventions):
+        iv = Intervention(label="m", kraus=self.KEEP_OR_DROP, target=Target.JOINT)
+        return ScenarioConfig(
+            initial_state=DensityMatrix(np.ones((1, 1))),
+            dim_a=1,
+            dim_b=1,
+            frame=FrameTransform(np.ones((1, 1))),
+            interventions=(iv,) * n_interventions,
+        )
+
+    def test_tree_at_the_cap(self):
+        res = run_scenario(self._config(16))
+        assert len(res.branches) == 65536
+        sequences = [b.sequence for b in res.branches]
+        assert sequences == list(itertools.product((0, 1), repeat=16))
+        live = res.branches[0]
+        assert live.probability_s == live.probability_sprime == 1.0
+        assert live.state_s is not None and live.state_sprime is not None
+        assert all(b.state_s is None and b.state_sprime is None for b in res.branches[1:])
+        assert res.verdict is Verdict.COVARIANT
+
+    def test_tree_over_the_cap(self):
+        with pytest.raises(ValueError, match="65536 branches"):
+            run_scenario(self._config(17))
 
 
 def test_empty_interventions_transforms_initial_state():
