@@ -23,6 +23,7 @@ import numpy as np
 
 from .channels import (
     CHANNEL_EQUALITY_TOL,
+    COMPLETENESS_TOL,
     DensityMatrix,
     KrausSet,
     _derived_set,
@@ -301,11 +302,14 @@ def _witness_states(d: int):
 
 
 def _check_single_op_unitary(mat: np.ndarray, name: str, tol: float) -> None:
+    # A one-operator set's unitarity defect is its completeness defect, so
+    # it gets parse_kraus_set's completeness gate.
+    gate = max(tol, COMPLETENESS_TOL)
     defect = unitarity_defect(mat)
-    if defect > tol:
+    if defect > gate:
         raise ValueError(
             f"{name} fails the completeness condition for a single-operator "
-            f"set: ||K^dagger K - I||_F = {defect:.3e} exceeds {tol:.1e}"
+            f"set: ||K^dagger K - I||_F = {defect:.3e} exceeds {gate:.1e}"
         )
 
 
@@ -322,9 +326,8 @@ def n1_uniqueness_check(k1, l1, tol: float = CHANNEL_EQUALITY_TOL) -> N1CheckRes
     l1 = as_cmatrix(l1, name="L1")
     if k1.shape != l1.shape or k1.shape[0] != k1.shape[1]:
         raise ValueError(f"operators must be square and same shape: {k1.shape} vs {l1.shape}")
-    gate = max(tol, 1e-12)
-    _check_single_op_unitary(k1, "K1", gate)
-    _check_single_op_unitary(l1, "L1", gate)
+    _check_single_op_unitary(k1, "K1", tol)
+    _check_single_op_unitary(l1, "L1", tol)
 
     distance, phase = phase_aligned_distance(k1, l1)
     if distance <= tol:
@@ -447,7 +450,7 @@ def n1_covariance_search(
         raise ValueError(f"dimension mismatch: K1 {k1.shape[0]} vs frame {f.dim}")
     if trials < 0:
         raise ValueError("trials must be >= 0")
-    _check_single_op_unitary(k1, "K1", max(tol, 1e-9))
+    _check_single_op_unitary(k1, "K1", tol)
 
     d = f.dim
     target = _kraus_images([f.mat], k1)[0]

@@ -3,9 +3,12 @@
 Matrices travel as ``{"rows": r, "cols": c, "data": [[re, im], ...]}`` with
 the data flat in row-major order; Kraus sets as ``{"dim": d, "ops":
 [matrix, ...]}``. Parse errors always name the offending field. Reports
-are encoded straight from the result dataclasses, keys in field order.
-Report floats rely on Python's shortest round-trip repr, so identical
-results serialize to identical bytes; non-finite values become null.
+are ASCII JSON indented by 2, byte-identical to ``json.dumps(report,
+indent=2, allow_nan=False)``, written by one in-package encoder straight
+from the result dataclasses, keys in field order; each matrix's data goes
+out in one join. Report floats rely on Python's shortest round-trip repr,
+so identical results serialize to identical bytes; non-finite scalars
+become null, and a non-finite matrix entry is a ValueError.
 Reports are written atomically (temp file, then rename), so a failed run
 never leaves a partial report behind; the file gets the mode a plain
 ``open(out, "w")`` would give a new file, ``0o666 & ~umask``.
@@ -20,6 +23,7 @@ import math
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -244,53 +248,115 @@ def parse_scenario_config(obj, path: str, default_tol: float) -> ScenarioConfig:
         raise InputError(f"{path}: {e}") from e
 
 
-def _jsonable(obj):
-    """Encode a report value for ``json.dumps``.
+_INDENT = "  "
 
-    Result dataclasses become dicts in field order, so the dataclasses are
-    the report schema. Non-finite floats become null; enums their value;
-    density matrices and arrays the matrix file format.
+
+def _key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"cannot encode {type(key).__name__} key in a report")
+    return f"{encode_basestring_ascii(key)}: "
+
+
+def _write(obj, level: int, out: list) -> None:
+    """Append the JSON text of a report value at nesting ``level`` to ``out``.
+
+    Result dataclasses become objects in field order, so the dataclasses
+    are the report schema. Non-finite floats become null; enums their
+    value; density matrices and arrays the matrix file format.
     """
     if isinstance(obj, float):
-        return float(obj) if math.isfinite(obj) else None
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, enum.Enum):
-        return obj.value
-    if isinstance(obj, DensityMatrix):
-        return matrix_to_obj(obj.mat)
-    if isinstance(obj, np.ndarray):
-        return matrix_to_obj(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)
-        }
-    raise TypeError(f"cannot encode {type(obj).__name__} in a report")
+        out.append(float.__repr__(obj) if math.isfinite(obj) else "null")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, (list, tuple)):
+        _write_block("[]", (("", v) for v in obj), level, out)
+    elif isinstance(obj, enum.Enum):
+        _write(obj.value, level, out)
+    elif isinstance(obj, DensityMatrix):
+        _write_matrix(obj.mat, level, out)
+    elif isinstance(obj, np.ndarray):
+        _write_matrix(obj, level, out)
+    elif isinstance(obj, dict):
+        _write_block("{}", ((_key(k), v) for k, v in obj.items()), level, out)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        fields = dataclasses.fields(obj)
+        members = ((_key(f.name), getattr(obj, f.name)) for f in fields)
+        _write_block("{}", members, level, out)
+    else:
+        raise TypeError(f"cannot encode {type(obj).__name__} in a report")
+
+
+def _write_block(brackets: str, members, level: int, out: list) -> None:
+    """Append an array or object; ``members`` yields (key prefix, value)."""
+    inner = "\n" + _INDENT * (level + 1)
+    sep = brackets[0] + inner
+    empty = True
+    for prefix, value in members:
+        out.append(sep + prefix)
+        _write(value, level + 1, out)
+        sep = "," + inner
+        empty = False
+    out.append(brackets if empty else f"\n{_INDENT * level}{brackets[1]}")
+
+
+def _write_matrix(m, level: int, out: list) -> None:
+    """Append a matrix in the matrix file format, its data in one join."""
+    m = np.ascontiguousarray(m, dtype=np.complex128)
+    flat = m.view(np.float64).ravel().tolist()
+    if not all(map(math.isfinite, flat)):
+        bad = next(x for x in flat if not math.isfinite(x))
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    if flat:
+        # data is a list (level + 1) of [re, im] pairs (level + 2)
+        pair = "\n" + _INDENT * (level + 2)
+        part = "\n" + _INDENT * (level + 3)
+        reprs = map(float.__repr__, flat)
+        data = (
+            f"[{pair}[{part}"
+            + f"{pair}],{pair}[{part}".join(map(f",{part}".join, zip(reprs, reprs)))
+            + f"{pair}]\n{_INDENT * (level + 1)}]"
+        )
+    else:
+        data = "[]"
+    inner = "\n" + _INDENT * (level + 1)
+    out += (
+        f'{{{inner}"rows": {m.shape[0]},{inner}"cols": {m.shape[1]},{inner}"data": ',
+        data,
+        f"\n{_INDENT * level}}}",
+    )
 
 
 def run_report(
     command: str, seed: int, tolerance: float, trials: int, results, version: str
-) -> dict:
-    """The JSON-ready report envelope around a result dataclass or dict."""
-    return _jsonable(
-        {
-            "command": command,
-            "seed": seed,
-            "tolerance": tolerance,
-            "trials": trials,
-            "results": results,
-            "version": version,
-        }
-    )
+) -> str:
+    """The report text: the envelope around a result dataclass or dict.
+
+    ASCII JSON indented by 2 and ending in a newline, byte for byte what
+    ``json.dumps(report, indent=2, allow_nan=False) + "\\n"`` gives for the
+    report's plain-JSON form.
+    """
+    envelope = {
+        "command": command,
+        "seed": seed,
+        "tolerance": tolerance,
+        "trials": trials,
+        "results": results,
+        "version": version,
+    }
+    out = []
+    _write(envelope, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
-def dump_report(report: dict, out: str | None) -> None:
-    """Serialize a report to stdout or atomically to a file."""
-    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+def dump_report(text: str, out: str | None) -> None:
+    """Write a report's text to stdout or atomically to a file."""
     if out is None or out == "-":
         sys.stdout.write(text)
         return

@@ -1,21 +1,26 @@
+import dataclasses
+import enum
 import json
+import math
 import os
 import stat
 
 import numpy as np
 import pytest
 
-from covchan.channels import KrausSet
+from covchan.channels import DensityMatrix, KrausSet
 from covchan.cli import main
+from covchan.covariance import FrameTransform, Verdict, analyze
 from covchan.linalg import random_unitary, spawn_rng
 from covchan.serialization import (
     InputError,
-    _jsonable,
     matrix_to_obj,
     parse_kraus_set,
     parse_matrix,
     parse_scenario_config,
+    run_report,
 )
+from covchan.scenario import run_scenario
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -523,4 +528,135 @@ class TestReportSchema:
     @pytest.mark.parametrize("value", [object(), {1, 2}, 1j, [np.int64(1)]])
     def test_encoder_rejects_unknown_objects(self, value):
         with pytest.raises(TypeError, match="cannot encode"):
-            _jsonable(value)
+            run_report("analyze", 0, 1e-9, 0, value, "0")
+
+
+def _reference_jsonable(obj):
+    """The plain-JSON form of a report value, encoded the obvious way.
+
+    The oracle for the report writer: ``json.dumps`` of this form with
+    ``indent=2`` is the report text byte for byte.
+    """
+    if isinstance(obj, float):
+        return float(obj) if math.isfinite(obj) else None
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, (list, tuple)):
+        return [_reference_jsonable(v) for v in obj]
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, DensityMatrix):
+        return matrix_to_obj(obj.mat)
+    if isinstance(obj, np.ndarray):
+        return matrix_to_obj(obj)
+    if isinstance(obj, dict):
+        return {k: _reference_jsonable(v) for k, v in obj.items()}
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {
+            f.name: _reference_jsonable(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+        }
+    raise TypeError(f"cannot encode {type(obj).__name__} in a report")
+
+
+def _report(results):
+    return run_report("oracle", 7, 1e-9, 3, results, "0.1.0")
+
+
+def _reference_report(results):
+    envelope = {
+        "command": "oracle",
+        "seed": 7,
+        "tolerance": 1e-9,
+        "trials": 3,
+        "results": results,
+        "version": "0.1.0",
+    }
+    return json.dumps(_reference_jsonable(envelope), indent=2, allow_nan=False) + "\n"
+
+
+def _null_state_scenario():
+    one = matrix_to_obj(np.ones((1, 1)))
+    keep_or_drop = {"dim": 1, "ops": [one, matrix_to_obj(np.zeros((1, 1)))]}
+    cfg = {
+        "dim_a": 1,
+        "dim_b": 1,
+        "initial_state": one,
+        "frame": one,
+        "interventions": [{"label": "drop", "target": "JOINT", "kraus": keep_or_drop}] * 2,
+    }
+    result = run_scenario(parse_scenario_config(cfg, "cfg", 1e-9))
+    assert any(b.state_s is None for b in result.branches)
+    return result
+
+
+def _writer_cases():
+    rng = np.random.default_rng(5)
+    d32 = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+    wide = rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8))
+    real = np.array([[-0.0, 1.5], [2.0, -3.25e-300]])
+    lam = FrameTransform(np.array([[0, 1], [1, 0]], dtype=complex))
+    dephase = KrausSet([S2 * I2, S2 * Z])
+    return {
+        "floats": [-0.0, 5e-324, 1e16, 1e-7, 0.1, -1.5e300, np.float64(2.0 / 3.0)],
+        "nonfinite-scalars": {"nan": math.nan, "inf": math.inf, "-inf": -math.inf},
+        "big-int": [10**100, -(2**70), 0, True, False, None],
+        "labels": {
+            "mésure": "naïve ☃",
+            "ctl": "tab\there\nnew\x01\x1f\x7f \"q\" \\",
+            "separators": "a\u2028b\u2029c",
+            "astral": "\U0001f600",
+        },
+        "empty": {"tuple": (), "list": [], "dict": {}, "nested": [[], {}, ()]},
+        "matrix-1x1": np.array([[1.0 - 2.0j]]),
+        "matrix-d32": d32,
+        "matrix-noncontiguous": {"transposed": wide.T, "strided": wide[::2, 1::3]},
+        "matrix-real": real,
+        "density": DensityMatrix(np.diag([0.25, 0.75]).astype(complex)),
+        "enums-and-dataclass": [Verdict.COVARIANT, analyze(dephase, dephase, lam)],
+        "scenario-null-states": _null_state_scenario(),
+    }
+
+
+class TestReportWriter:
+    """The report writer gives exactly ``json.dumps(..., indent=2)``'s text."""
+
+    @pytest.mark.parametrize("case", sorted(_writer_cases()))
+    def test_matches_stdlib_indent(self, case):
+        results = _writer_cases()[case]
+        assert _report(results) == _reference_report(results)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_matrix_entry_raises_like_stdlib(self, bad):
+        m = np.eye(3, dtype=complex)
+        m[1, 0] = complex(0.5, bad)
+        m[2, 2] = complex(math.nan, 0.0)
+        with pytest.raises(ValueError) as ours:
+            _report({"m": [m]})
+        with pytest.raises(ValueError) as stdlib:
+            _reference_report({"m": [m]})
+        assert str(ours.value) == str(stdlib.value)
+        assert repr(bad) in str(ours.value)
+
+    @pytest.mark.parametrize("key", [1, 1.5, None, ("a",)])
+    def test_non_string_key_rejected(self, key):
+        with pytest.raises(TypeError, match="cannot encode"):
+            _report({key: 1})
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["analyze", "dephase", "dephase", "lam_ident"], 0),
+            (["freedom-sweep", "--dim", "3", "--rank", "2", "--trials", "3"], 0),
+            (["n1-search", "k1_ident", "lam_ident", "--trials", "2", "--tol", "10"], 3),
+            (["scenario", "scenario"], 0),
+        ],
+    )
+    def test_round_trips_through_stdlib(self, fixtures, capsys, argv, code):
+        argv = argv[:1] + [fixtures.get(a, a) for a in argv[1:]]
+        assert main(argv) == code
+        text = capsys.readouterr().out
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        out = fixtures["tmp"] / "round-trip.json"
+        assert main(argv + ["--out", str(out)]) == code
+        assert out.read_text(encoding="ascii") == text

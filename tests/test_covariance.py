@@ -5,6 +5,7 @@ import pytest
 
 from covchan.channels import (
     CHANNEL_EQUALITY_TOL,
+    COMPLETENESS_TOL,
     DensityMatrix,
     KrausSet,
     channels_equal,
@@ -372,6 +373,29 @@ class TestN1CovarianceSearch:
     def test_rejects_nonunitary(self):
         with pytest.raises(ValueError, match="completeness"):
             n1_covariance_search(np.diag([1.0, 2.0]), IDENT_FRAME, trials=5, seed=0)
+
+
+class TestSingleOperatorGate:
+    """Both single-operator functions gate unitarity at max(tol, COMPLETENESS_TOL)."""
+
+    @staticmethod
+    def _k1(defect):
+        return np.diag([np.sqrt(1.0 + defect), 1.0]).astype(complex)
+
+    def test_agree_below_completeness_tol(self):
+        k1 = self._k1(5e-10)
+        assert unitarity_defect(k1) == pytest.approx(5e-10, rel=1e-6)
+        tol = 1e-11
+        assert n1_uniqueness_check(k1, k1, tol=tol).verdict is PhaseEquivalence.EQUAL_UP_TO_PHASE
+        rep = n1_covariance_search(k1, IDENT_FRAME, trials=2, seed=0, tol=tol)
+        assert rep.examined > 0
+
+    def test_agree_past_the_gate(self):
+        k1 = self._k1(2 * COMPLETENESS_TOL)
+        with pytest.raises(ValueError, match="exceeds 1.0e-09"):
+            n1_uniqueness_check(k1, k1, tol=1e-11)
+        with pytest.raises(ValueError, match="exceeds 1.0e-09"):
+            n1_covariance_search(k1, IDENT_FRAME, trials=2, seed=0, tol=1e-11)
 
 
 class TestPhasePermutationDistance:
