@@ -29,11 +29,12 @@ result = n1_uniqueness_check(k1, other)
 print(f"independent pair: {result.verdict.name}")
 print(f"  witness image distance: {result.witness_distance:.4f}")
 
-# hunt for a counterexample: candidates kept away from the covariant
-# solution, residual minimized by coordinate descent on the unitary group
+# hunt for a counterexample: random candidates kept away from the
+# covariant solution, plus the closed-form candidate just past that
+# distance floor, where the residual is smallest
 lam = FrameTransform(random_unitary(d, 33))
 report = n1_covariance_search(k1, lam, trials=500, seed=34)
 print(f"search examined {report.examined} candidates, "
       f"violations: {report.violation_count}")
 print(f"  best residual found:  {report.min_residual:.3e}")
-print(f"  theoretical floor:    {report.distance_floor * np.sqrt(2 * d):.3e}")
+print(f"  theoretical floor:    {report.residual_floor:.3e}")

@@ -8,14 +8,14 @@ the Choi oracle decides exactly. Compatibility does NOT force operator
 covariance ``L'_A = Lam K_A Lam^dagger`` once the set has more than one
 element: mixing the covariant solution by any unitary gives a continuum of
 equally compatible sets. With a single element the freedom collapses to a
-global phase, and this module both checks that rigidity directly and hunts
-for counterexamples numerically.
+global phase. This module checks that rigidity directly, and certifies it
+for a search: random candidates plus one closed-form candidate at the
+phase-distance floor, where the constrained residual is smallest.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import InitVar, dataclass, field
 
@@ -77,9 +77,6 @@ GRAM_MIN_EIGENVALUE = 1e-8
 # A candidate closer than this to the covariant solution (after optimal
 # phase alignment) counts as trivially covariant in searches and sweeps.
 PHASE_DISTANCE_FLOOR = 1e-6
-
-# Descents from fresh random starts in the single-operator search.
-_N1_RESTARTS = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,13 +365,16 @@ class N1SearchReport:
     min_residual is the smallest compatibility residual seen among
     candidates kept away from the covariant solution (phase distance above
     the floor); infinity when no candidate cleared the floor, as happens
-    for scalars where every unitary is a phase.
+    for scalars where every unitary is a phase. residual_floor is the
+    analytic lower bound on it, ``eps * sqrt(2 d - eps^2 / 2)`` for
+    ``eps = distance_floor``.
     """
 
     dim: int
     trials: int
     tol: float
     distance_floor: float
+    residual_floor: float
     examined: int
     min_residual: float
     best_phase_distance: float | None
@@ -384,26 +384,6 @@ class N1SearchReport:
 
     def __post_init__(self):
         object.__setattr__(self, "violation_count", len(self.violations))
-
-
-def _hermitian_basis(d: int):
-    basis = []
-    for i in range(d):
-        g = np.zeros((d, d), dtype=np.complex128)
-        g[i, i] = 1.0
-        basis.append(g)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            g = np.zeros((d, d), dtype=np.complex128)
-            g[i, j] = inv_sqrt2
-            g[j, i] = inv_sqrt2
-            basis.append(g)
-            g = np.zeros((d, d), dtype=np.complex128)
-            g[i, j] = -1j * inv_sqrt2
-            g[j, i] = 1j * inv_sqrt2
-            basis.append(g)
-    return basis
 
 
 def _rank1_choi_residual(target: np.ndarray, cand: np.ndarray) -> float:
@@ -421,6 +401,25 @@ def _rank1_choi_residual(target: np.ndarray, cand: np.ndarray) -> float:
     return math.sqrt(corner * corner + 2.0 * r12_sq * r22_sq + r22_sq * r22_sq)
 
 
+def _n1_candidates(target: np.ndarray, trials: int, seed: int):
+    # Seeded Haar trials, then the boundary candidate. Two d x d unitaries
+    # at phase-aligned distance delta have Choi residual
+    # delta * sqrt(2 d - delta^2 / 2), which increases with delta, so the
+    # smallest residual the floor allows sits just past it. For
+    # C = T diag(e^{i alpha}, e^{-i alpha}, 1, ..., 1), Tr(T^dagger C) =
+    # d - 2 + 2 cos(alpha) is real and positive, so the aligning phase is 1
+    # and delta = 2 sqrt(2) sin(alpha / 2).
+    d = target.shape[0]
+    for i in range(trials):
+        yield random_unitary(d, spawn_rng(seed, 0, i))
+    if d >= 2:
+        delta = PHASE_DISTANCE_FLOOR * (1.0 + 1e-6)
+        alpha = 2.0 * math.asin(delta / (2.0 * math.sqrt(2.0)))
+        turn = np.ones(d, dtype=np.complex128)
+        turn[:2] = np.exp([1j * alpha, -1j * alpha])
+        yield target * turn
+
+
 def n1_covariance_search(
     k1,
     f: FrameTransform,
@@ -430,15 +429,17 @@ def n1_covariance_search(
 ) -> N1SearchReport:
     """Search for a single-operator counterexample to covariance rigidity.
 
-    Samples random unitary candidates for the frame-S' operator and then
-    runs a gradient-free descent on the unitary group (one step per
-    Hermitian generator direction, shrinking step size, three restarts),
-    minimizing the compatibility residual while staying more than
-    ``PHASE_DISTANCE_FLOOR`` away from the covariant solution in
-    phase-aligned distance. Rigidity predicts the constrained minimum
-    stays orders of magnitude above ``tol``; any candidate below it is
-    recorded as a violation (which would indict this implementation, not
-    the math).
+    Examines ``trials`` random unitary candidates for the frame-S' operator
+    and, for d >= 2, one closed-form boundary candidate: the target
+    ``Lam K1 Lam^dagger`` times ``diag(e^{i alpha}, e^{-i alpha}, 1, ...)``,
+    with alpha set so that its phase-aligned distance is just above
+    ``PHASE_DISTANCE_FLOOR``. For unitaries the residual grows with that
+    distance, so this candidate attains the constrained minimum
+    ``residual_floor`` up to rounding. Candidates within the floor count
+    as the covariant solution and are skipped. Rigidity predicts the
+    minimum stays orders of magnitude above ``tol``; any candidate at or
+    below it is recorded as a violation (which would indict this
+    implementation, not the math).
 
     Deterministic in (inputs, trials, seed); candidates are evaluated in a
     fixed order and streams are keyed per trial index.
@@ -460,13 +461,11 @@ def n1_covariance_search(
     best_candidate = None
     violations = []
     examined = 0
-
-    def consider(cand: np.ndarray):
-        nonlocal min_residual, best_phase_distance, best_candidate, examined
+    for cand in _n1_candidates(target, trials, seed):
         examined += 1
         phase_dist, _ = phase_aligned_distance(target, cand)
         if phase_dist <= PHASE_DISTANCE_FLOOR:
-            return math.inf
+            continue
         residual = _rank1_choi_residual(target, cand)
         if residual < min_residual:
             min_residual = residual
@@ -478,35 +477,14 @@ def n1_covariance_search(
                     residual=residual, phase_distance=phase_dist, candidate=cand
                 )
             )
-        return residual
 
-    for i in range(trials):
-        consider(random_unitary(d, spawn_rng(seed, 0, i)))
-
-    generators = [np.linalg.eigh(g) for g in _hermitian_basis(d)]
-    for r in range(_N1_RESTARTS):
-        u = random_unitary(d, spawn_rng(seed, 1, r))
-        best = consider(u)
-        step = 0.5
-        while step > 1e-7:
-            improved = False
-            for w, gvecs in generators:
-                for sign in (1.0, -1.0):
-                    rot = (gvecs * np.exp(1j * sign * step * w)) @ dagger(gvecs)
-                    cand = rot @ u
-                    res = consider(cand)
-                    if res < best - 1e-15:
-                        best = res
-                        u = cand
-                        improved = True
-            if not improved:
-                step *= 0.5
-
+    eps = PHASE_DISTANCE_FLOOR
     return N1SearchReport(
         dim=d,
         trials=trials,
         tol=tol,
-        distance_floor=PHASE_DISTANCE_FLOOR,
+        distance_floor=eps,
+        residual_floor=eps * math.sqrt(2.0 * d - 0.5 * eps * eps),
         examined=examined,
         min_residual=min_residual,
         best_phase_distance=best_phase_distance,
@@ -519,18 +497,31 @@ def phase_permutation_distance(v: MixingUnitary) -> float:
     """Distance from the trivial mixings: phase matrices times permutations.
 
     ``min over diagonal-phase D and permutation P of || V - D P ||_F``,
-    which reduces to an assignment problem over row-column pairings solved
-    exactly by enumeration (ranks here are small).
+    which reduces to the assignment problem ``max_P sum_a |V|_{a, P(a)}``,
+    solved exactly by DP over column subsets (Held-Karp) for rank <= 16.
+    Rows are assigned in order and each sum is accumulated left to right,
+    so, rounded addition being monotone, the maximum is bitwise the one an
+    enumeration of all permutations finds.
     """
-    m = np.abs(v.mat)
-    n = m.shape[0]
-    if n > 8:
-        raise ValueError("permutation enumeration is limited to rank <= 8")
-    best = max(
-        sum(m[a, sigma[a]] for a in range(n))
-        for sigma in itertools.permutations(range(n))
-    )
-    return math.sqrt(max(0.0, 2.0 * (n - best)))
+    w = np.abs(v.mat).tolist()
+    n = len(w)
+    if n > 16:
+        raise ValueError("the assignment DP is limited to rank <= 16")
+    # best[mask]: the largest sum over rows 0..popcount(mask)-1 assigned to
+    # the columns in mask; every mask ^ bit is smaller than mask.
+    best = [0.0]
+    for mask in range(1, 1 << n):
+        row = w[mask.bit_count() - 1]
+        top = -math.inf
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            total = best[mask ^ bit] + row[bit.bit_length() - 1]
+            if total > top:
+                top = total
+            rest ^= bit
+        best.append(top)
+    return math.sqrt(max(0.0, 2.0 * (n - best[-1])))
 
 
 def extract_mixing(

@@ -55,6 +55,7 @@ def fixtures(tmp_path):
         ),
         "lam_ident": _write(tmp_path, "lam_ident.json", matrix_to_obj(I2)),
         "k1_ident": _write(tmp_path, "k1_ident.json", matrix_to_obj(I2)),
+        "scalar": _write(tmp_path, "scalar.json", matrix_to_obj(np.eye(1))),
         "k1_bad": _write(
             tmp_path, "k1_bad.json", matrix_to_obj(np.diag([1.0, 2.0]).astype(complex))
         ),
@@ -252,6 +253,16 @@ class TestFreedomSweepCommand:
         assert main(["freedom-sweep", "--tol", "-1"]) == 1
         capsys.readouterr()
 
+    def test_rank_twelve_is_solved(self, capsys):
+        # above rank 8, where enumerating permutations stopped
+        assert main(["freedom-sweep", "--dim", "2", "--rank", "12", "--trials", "2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert all(t["nontrivial_mixing"] for t in report["results"]["per_trial"])
+
+    def test_rank_seventeen_exit_one(self, capsys):
+        assert main(["freedom-sweep", "--dim", "2", "--rank", "17", "--trials", "1"]) == 1
+        assert "rank <= 16" in capsys.readouterr().err
+
     def test_deterministic_bytes(self, fixtures):
         out1 = fixtures["tmp"] / "sweep1.json"
         out2 = fixtures["tmp"] / "sweep2.json"
@@ -270,6 +281,24 @@ class TestN1SearchCommand:
         assert code == 0
         assert report["results"]["violation_count"] == 0
         assert report["results"]["min_residual"] > 1e-9
+
+    @pytest.mark.parametrize("tol, code", [(None, 0), ("1e-5", 3)])
+    def test_exit_code_across_the_residual_floor(self, fixtures, capsys, tol, code):
+        # at d = 2 the constrained minimum is 2e-6: a tolerance above it
+        # turns the boundary candidate into a violation
+        argv = ["n1-search", fixtures["k1_ident"], fixtures["lam_ident"], "--trials", "20"]
+        assert main(argv + (["--tol", tol] if tol else [])) == code
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["residual_floor"] == pytest.approx(2e-6, rel=1e-12, abs=0.0)
+        assert (res["violation_count"] >= 1) == (code == 3)
+        assert res["min_residual"] == pytest.approx(res["residual_floor"], rel=1e-5, abs=0.0)
+
+    def test_scalar_has_no_candidate(self, fixtures, capsys):
+        assert main(["n1-search", fixtures["scalar"], fixtures["scalar"], "--trials", "5"]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["min_residual"] is None
+        assert res["best_candidate"] is None
+        assert res["examined"] == 5
 
     def test_nonunitary_input_exit_one(self, fixtures, capsys):
         code = main(
@@ -496,8 +525,9 @@ class TestReportSchema:
             code=3,
         )
         assert list(res) == [
-            "dim", "trials", "tol", "distance_floor", "examined", "min_residual",
-            "best_phase_distance", "best_candidate", "violation_count", "violations",
+            "dim", "trials", "tol", "distance_floor", "residual_floor", "examined",
+            "min_residual", "best_phase_distance", "best_candidate", "violation_count",
+            "violations",
         ]
         assert list(res["best_candidate"]) == self.MATRIX_KEYS
         assert res["violation_count"] == len(res["violations"]) > 0

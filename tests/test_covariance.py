@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from covchan.channels import (
 )
 from covchan.covariance import (
     GRAM_MIN_EIGENVALUE,
+    PHASE_DISTANCE_FLOOR,
     CovarianceReport,
     FrameTransform,
     MixingUnitary,
@@ -35,6 +37,7 @@ from covchan.covariance import (
     phase_permutation_distance,
     transform_state,
 )
+from covchan.covariance import _rank1_choi_residual
 from covchan.linalg import (
     dagger,
     frobenius_distance,
@@ -375,6 +378,55 @@ class TestN1CovarianceSearch:
             n1_covariance_search(np.diag([1.0, 2.0]), IDENT_FRAME, trials=5, seed=0)
 
 
+def _unitary_pair_residual(delta, d):
+    # Choi residual of two d x d unitaries at phase-aligned distance delta:
+    # |Tr(T^dagger C)| = d - delta^2 / 2, so the residual^2 =
+    # 2 d^2 - 2 |Tr(T^dagger C)|^2 = delta^2 (2 d - delta^2 / 2).
+    return delta * math.sqrt(2.0 * d - 0.5 * delta * delta)
+
+
+class TestRank1ClosedForm:
+    """The residual of a unitary pair is a function of its phase distance."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 32])
+    def test_residual_matches_closed_form(self, d):
+        for trial in range(5):
+            target = random_unitary(d, spawn_rng(61, d, trial, 0))
+            cand = random_unitary(d, spawn_rng(61, d, trial, 1))
+            delta, _ = phase_aligned_distance(target, cand)
+            assert _rank1_choi_residual(target, cand) == pytest.approx(
+                _unitary_pair_residual(delta, d), rel=1e-12, abs=0.0
+            )
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 32])
+    def test_boundary_candidate_matches_closed_form(self, d):
+        # near the floor the residual is a difference of nearly equal
+        # terms, so it agrees to about 1e-11 rather than to 1e-12
+        k1 = random_unitary(d, spawn_rng(62, d, 0))
+        f = FrameTransform(random_unitary(d, spawn_rng(62, d, 1)))
+        rep = n1_covariance_search(k1, f, trials=3, seed=d)
+        assert rep.min_residual == pytest.approx(
+            _unitary_pair_residual(rep.best_phase_distance, d), rel=1e-9, abs=0.0
+        )
+        assert rep.best_phase_distance == pytest.approx(
+            PHASE_DISTANCE_FLOOR * (1.0 + 1e-6), rel=1e-9, abs=0.0
+        )
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_search_attains_the_residual_floor(self, d):
+        k1 = random_unitary(d, spawn_rng(63, d, 0))
+        f = FrameTransform(random_unitary(d, spawn_rng(63, d, 1)))
+        rep = n1_covariance_search(k1, f, trials=50, seed=d)
+        eps = rep.distance_floor
+        assert rep.residual_floor == pytest.approx(
+            _unitary_pair_residual(eps, d), rel=1e-15, abs=0.0
+        )
+        assert rep.examined == 51
+        assert rep.residual_floor * (1.0 - 1e-12) <= rep.min_residual
+        assert rep.min_residual <= rep.residual_floor * (1.0 + 1e-5)
+        assert rep.violation_count == 0
+
+
 class TestSingleOperatorGate:
     """Both single-operator functions gate unitarity at max(tol, COMPLETENESS_TOL)."""
 
@@ -407,6 +459,54 @@ class TestPhasePermutationDistance:
     def test_hadamard_value(self):
         got = phase_permutation_distance(MixingUnitary(H))
         assert got == pytest.approx(np.sqrt(4.0 - 2.0 * np.sqrt(2.0)))
+
+    @staticmethod
+    def _enumerated(mat):
+        # the reference: the best assignment over all n! permutations,
+        # each sum taken over rows in order
+        m = np.abs(mat)
+        n = m.shape[0]
+        best = max(
+            sum(m[a, sigma[a]] for a in range(n))
+            for sigma in itertools.permutations(range(n))
+        )
+        return math.sqrt(max(0.0, 2.0 * (n - best)))
+
+    @staticmethod
+    def _phase_permutation(n, seed):
+        rng = np.random.default_rng(seed)
+        mat = np.zeros((n, n), dtype=complex)
+        mat[np.arange(n), rng.permutation(n)] = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        return mat
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_dp_equals_enumeration(self, n):
+        mats = [random_unitary(n, spawn_rng(71, n, trial)) for trial in range(6)]
+        # tie-heavy inputs: every assignment of the DFT matrix has the same
+        # sum, and identity and phase-permutations tie at every zero entry
+        dft = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
+        mats += [np.eye(n), self._phase_permutation(n, n), dft]
+        for mat in mats:
+            assert phase_permutation_distance(MixingUnitary(mat)) == self._enumerated(mat)
+
+    def test_rank_16_phase_permutation_is_trivial(self):
+        assert phase_permutation_distance(MixingUnitary(self._phase_permutation(16, 3))) == 0.0
+
+    def test_rank_16_block_diagonal(self):
+        # zero off-diagonal blocks: the best assignment is the best of each
+        # block, so the squared distances add; relabeling rows and columns
+        # leaves the distance unchanged
+        blocks = [random_unitary(8, spawn_rng(72, b)) for b in range(2)]
+        mat = np.zeros((16, 16), dtype=complex)
+        mat[:8, :8], mat[8:, 8:] = blocks
+        rng = np.random.default_rng(73)
+        mat = mat[rng.permutation(16)][:, rng.permutation(16)]
+        want = math.hypot(*(self._enumerated(b) for b in blocks))
+        assert phase_permutation_distance(MixingUnitary(mat)) == pytest.approx(want, rel=1e-12)
+
+    def test_rank_17_is_refused(self):
+        with pytest.raises(ValueError, match="rank <= 16"):
+            phase_permutation_distance(MixingUnitary(np.eye(17)))
 
 
 class TestExtractMixing:
