@@ -5,8 +5,12 @@ An EPR pair measured in two Lorentz frames
 Runs a Bell state through a local Z measurement on side A and compares the
 bookkeeping of two frames related by a product unitary. Outcome statistics
 agree to machine precision. Swapping in a mixed (non-covariant) operator
-set for the second frame changes the branch states on paper but not a
-single observable number.
+set for the second frame changes the branch states on paper, and here not
+this measurement's statistics, because A's half of a Bell pair is
+maximally mixed. That does not hold in general: only the non-selective
+channel is the same for every mixing. A mixing that is not diagonal
+phases changes the selective branches, and a later measurement (Z on B
+here) or another state can expose it.
 """
 
 import numpy as np

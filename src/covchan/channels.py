@@ -49,7 +49,6 @@ __all__ = [
     "choi_distance",
     "choi_matrix",
     "completeness_defect",
-    "kraus_gram",
     "matrix_units",
     "random_kraus_set",
     "vec",
@@ -65,6 +64,42 @@ CHANNEL_EQUALITY_TOL = 1e-9
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization: stacks columns top to bottom."""
     return np.asarray(m).reshape(-1, order="F")
+
+
+def _density_check(mats: np.ndarray, herm_tol, trace_tol, psd_tol) -> None:
+    """Validate an ``(n, d, d)`` complex stack, ``n >= 1``, as density matrices.
+
+    Each matrix must be finite, Hermitian, of unit trace and positive
+    semidefinite, checked in that order; the first failing matrix raises
+    the error that constructing it alone would. The Hermiticity defect is
+    summed with the dot products of :func:`frobenius_distance`, so it is
+    the same float, and it needs no complex temporary of the stack's size.
+    """
+    n = len(mats)
+    diff = (mats - mats.conj().swapaxes(-1, -2)).reshape(n, 1, -1)
+    re, im = diff.real, diff.imag
+    herm = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).reshape(n)
+    tr = mats.trace(axis1=-2, axis2=-1)
+    # a non-finite entry makes the Hermiticity defect NaN or inf, so only
+    # matrices before the first failure here reach the eigensolver
+    bad = ~(herm <= herm_tol) | (abs(tr - 1.0) > trace_tol)
+    cut = int(bad.argmax())
+    if not bad[cut]:
+        cut = n
+    if cut:
+        # eigenvalues come in ascending order
+        lo = np.linalg.eigvalsh(mats[:cut])[:, 0]
+        neg = lo < -psd_tol
+        i = int(neg.argmax())
+        if neg[i]:
+            raise ValueError(f"density matrix has negative eigenvalue {float(lo[i]):.3e}")
+    if cut == n:
+        return
+    if not np.isfinite(mats[cut]).all():
+        raise ValueError("density matrix: entries must be finite")
+    if herm[cut] > herm_tol:
+        raise ValueError(f"density matrix is not Hermitian: defect {herm[cut]:.3e}")
+    raise ValueError(f"density matrix trace {tr[cut]:.12g} is not 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,18 +120,24 @@ class DensityMatrix:
         mat = as_cmatrix(self.mat, name="density matrix")
         if mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-        herm = frobenius_distance(mat, dagger(mat))
-        if herm > herm_tol:
-            raise ValueError(f"density matrix is not Hermitian: defect {herm:.3e}")
-        tr = np.trace(mat)
-        if abs(tr - 1.0) > trace_tol:
-            raise ValueError(f"density matrix trace {tr:.12g} is not 1")
-        lo = float(np.linalg.eigvalsh(mat).min())
-        if lo < -psd_tol:
-            raise ValueError(
-                f"density matrix has negative eigenvalue {lo:.3e}"
-            )
+        _density_check(mat[None], herm_tol, trace_tol, psd_tol)
         object.__setattr__(self, "mat", mat)
+
+    @classmethod
+    def _from_stack(cls, mats: np.ndarray, tol: float) -> list:
+        """Validate an ``(n, d, d)`` complex stack at slack ``tol`` in one pass.
+
+        Returns one state per matrix, each holding a read-only view of the
+        stack; the constructor's per-matrix work is skipped.
+        """
+        _density_check(mats, tol, tol, tol)
+        mats.setflags(write=False)
+        states = []
+        for mat in mats:
+            state = object.__new__(cls)
+            object.__setattr__(state, "mat", mat)
+            states.append(state)
+        return states
 
     @property
     def dim(self) -> int:
@@ -305,17 +346,6 @@ def apply_to_matrix_units(k: KrausSet) -> list:
     as an independent brute-force cross-check of the Choi oracle.
     """
     return [apply_kraus(k.ops, e) for e in matrix_units(k.dim)]
-
-
-def kraus_gram(ops) -> np.ndarray:
-    """Hilbert-Schmidt Gram matrix ``G[a, b] = Tr(K_a^dagger K_b)``."""
-    n = len(ops)
-    g = np.zeros((n, n), dtype=np.complex128)
-    for a in range(n):
-        for b in range(a, n):
-            g[a, b] = np.trace(dagger(ops[a]) @ ops[b])
-            g[b, a] = np.conj(g[a, b])
-    return g
 
 
 def random_kraus_set(dim: int, rank: int, seed) -> KrausSet:

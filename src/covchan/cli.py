@@ -313,3 +313,7 @@ def main(argv=None) -> int:
     except (InputError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:
+        # sizes the machine cannot hold are an input error too
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
+        return 1

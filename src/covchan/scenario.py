@@ -4,11 +4,13 @@ One observer evolves the state through a list of selective measurements;
 a second observer, related by a unitary frame change, runs the same story
 with frame-local operator choices. The runner records branch statistics
 and endpoint states in both accounts and measures how far they are from
-covariant agreement. Outcome statistics and the non-selective endpoint
-must agree whenever the second observer's sets come from the compatible
-family; the individual post-branch states may legitimately differ, which
-is exactly the representation freedom under study, so they are reported
-but never folded into the defect.
+covariant agreement. The non-selective endpoint must agree whenever the
+second observer's sets come from the compatible family (the same
+channel). Branch statistics are stricter: they agree for every state
+only when each mixing is diagonal phases. Any other mixing, permutations
+included, changes the selective branches, and the statistics of that
+intervention or of a later one can expose it. The individual
+post-branch states are reported but never folded into the defect.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .covariance import (
     mix_kraus,
     transform_state,
 )
-from .linalg import dagger, frobenius_distance
+from .linalg import frobenius_distance
 
 __all__ = [
     "NULL_BRANCH_PROB",
@@ -55,6 +57,10 @@ __all__ = [
 NULL_BRANCH_PROB = 1e-12
 
 _MAX_BRANCHES = 65536
+
+# Validation slack for leaf and final states: cancellation in low-probability
+# branches leaves more dust than the default constructor tolerances admit.
+_STATE_SLACK = 1e-8
 
 
 class Target(enum.Enum):
@@ -237,16 +243,6 @@ def _probabilities(images: np.ndarray) -> list:
     return np.trace(images, axis1=-2, axis2=-1).real.tolist()
 
 
-def _renormalized(mat: np.ndarray, prob: float) -> DensityMatrix | None:
-    if prob <= NULL_BRANCH_PROB:
-        return None
-    state = mat / prob
-    state = 0.5 * (state + dagger(state))
-    # cancellation in low-probability branches leaves more dust than the
-    # default constructor tolerances admit
-    return DensityMatrix(state, herm_tol=1e-8, trace_tol=1e-8, psd_tol=1e-8)
-
-
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Run both frame accounts and measure their covariant agreement.
 
@@ -303,17 +299,28 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         sigma = images_sp.sum(axis=0)
 
     sequences = itertools.product(*(range(iv.kraus.rank) for iv in cfg.interventions))
-    leaf_probs = zip(_probabilities(leaves_s), _probabilities(leaves_sp))
+    # (leaf, frame) probabilities; live leaves are renormalized and validated
+    # with both final states as one stack, in the order the branches list them
+    probs = np.stack([_probabilities(leaves_s), _probabilities(leaves_sp)], axis=1)
+    live = ~(probs <= NULL_BRANCH_PROB)
+    states = np.stack([leaves_s, leaves_sp], axis=1)[live]
+    states /= probs[live][:, None, None]
+    states += states.conj().swapaxes(-1, -2)
+    states *= 0.5
+    *leaf_states, final_s, final_sp = DensityMatrix._from_stack(
+        np.concatenate([states, rho[None], sigma[None]]), _STATE_SLACK
+    )
+    leaf_states = iter(leaf_states)
     branches = tuple(
         BranchRecord(
             sequence=seq,
             probability_s=p_s,
             probability_sprime=p_sp,
-            state_s=_renormalized(mat_s, p_s),
-            state_sprime=_renormalized(mat_sp, p_sp),
+            state_s=next(leaf_states) if live_s else None,
+            state_sprime=next(leaf_states) if live_sp else None,
         )
-        for seq, (p_s, p_sp), mat_s, mat_sp in zip(
-            sequences, leaf_probs, leaves_s, leaves_sp
+        for seq, (p_s, p_sp), (live_s, live_sp) in zip(
+            sequences, probs.tolist(), live.tolist()
         )
     )
 
@@ -322,8 +329,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         + [abs(br.probability_s - br.probability_sprime) for br in branches]
     )
 
-    final_s = DensityMatrix(rho, herm_tol=1e-8, trace_tol=1e-8, psd_tol=1e-8)
-    final_sp = DensityMatrix(sigma, herm_tol=1e-8, trace_tol=1e-8, psd_tol=1e-8)
     state_defect = frobenius_distance(sigma, _kraus_images([cfg.frame.mat], rho)[0])
     covariance_defect = max(probability_defect, state_defect)
 

@@ -19,7 +19,6 @@ from covchan.channels import (
     apply_channel,
     apply_to_matrix_units,
     channels_equal,
-    kraus_gram,
     random_kraus_set,
 )
 from covchan.cli import main
@@ -47,6 +46,13 @@ from covchan.scenario import Intervention, ScenarioConfig, Target, run_scenario
 from covchan.serialization import matrix_to_obj
 
 from conftest import record_acceptance
+
+
+def kraus_gram(ops) -> np.ndarray:
+    """Hilbert-Schmidt Gram matrix ``G[a, b] = Tr(K_a^dagger K_b)``."""
+    w = np.stack([np.ravel(op) for op in ops], axis=1)
+    return w.conj().T @ w
+
 
 DIMS = (2, 3, 4)
 S2 = 1.0 / np.sqrt(2.0)

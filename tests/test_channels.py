@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,9 +6,13 @@ import pytest
 
 from covchan.channels import (
     CHANNEL_EQUALITY_TOL,
+    HERMITICITY_TOL,
+    PSD_TOL,
+    TRACE_TOL,
     ChoiMatrix,
     DensityMatrix,
     KrausSet,
+    _density_check,
     _kraus_images,
     apply_channel,
     apply_kraus,
@@ -16,7 +21,6 @@ from covchan.channels import (
     choi_distance,
     choi_matrix,
     completeness_defect,
-    kraus_gram,
     matrix_units,
     random_kraus_set,
     vec,
@@ -29,6 +33,13 @@ from covchan.linalg import (
     random_unitary,
     spawn_rng,
 )
+
+
+def kraus_gram(ops) -> np.ndarray:
+    """Hilbert-Schmidt Gram matrix ``G[a, b] = Tr(K_a^dagger K_b)``."""
+    w = np.stack([np.ravel(op) for op in ops], axis=1)
+    return w.conj().T @ w
+
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -79,6 +90,135 @@ class TestDensityMatrix:
     def test_from_state_vector_rejects_zero(self):
         with pytest.raises(ValueError, match="nonzero"):
             DensityMatrix.from_state_vector([0.0, 0.0])
+
+
+def _reference_density_error(mat):
+    """The per-matrix checks as the constructor made them before the stack check."""
+    mat = np.asarray(mat)
+    if not np.all(np.isfinite(mat)):
+        return "density matrix: entries must be finite"
+    herm = frobenius_distance(mat, dagger(mat))
+    if herm > HERMITICITY_TOL:
+        return f"density matrix is not Hermitian: defect {herm:.3e}"
+    tr = np.trace(mat)
+    if abs(tr - 1.0) > TRACE_TOL:
+        return f"density matrix trace {tr:.12g} is not 1"
+    lo = float(np.linalg.eigvalsh(mat).min())
+    if lo < -PSD_TOL:
+        return f"density matrix has negative eigenvalue {lo:.3e}"
+    return None
+
+
+def _defective(mat, kind, size=1):
+    """``mat`` with one defect of the given kind, scaled by ``size``."""
+    mat = mat.copy()
+    if kind == "herm":
+        mat[0, -1] += size * 1e-6
+    elif kind == "trace":
+        mat *= 1 + size * 0.01
+    elif kind == "negative":
+        # move weight past zero along the weakest eigenvector: trace kept
+        w, v = np.linalg.eigh(mat)
+        shift = w[0] + size * 0.01
+        mat += shift * (np.outer(v[:, -1], v[:, -1].conj()) - np.outer(v[:, 0], v[:, 0].conj()))
+    else:
+        mat[0, -1] = np.nan
+    return mat
+
+
+DEFECTS = ("herm", "trace", "negative", "nan")
+DEFECT_WORDS = {
+    "herm": "not Hermitian",
+    "trace": "is not 1",
+    "negative": "negative eigenvalue",
+    "nan": "must be finite",
+}
+
+
+class TestDensityStack:
+    """One check over an ``(n, d, d)`` stack, as the scenario leaves use it."""
+
+    N = 6
+
+    def _stack(self, d, seed):
+        return np.stack([random_density(d, spawn_rng(seed, d, i)) for i in range(self.N)])
+
+    def _expect_first_error(self, stack, word):
+        errors = [_reference_density_error(m) for m in stack]
+        first = next(i for i, e in enumerate(errors) if e is not None)
+        assert word in errors[first]
+        with pytest.raises(ValueError) as single:
+            DensityMatrix(stack[first])
+        assert str(single.value) == errors[first]
+        with pytest.raises(ValueError) as batched:
+            _density_check(stack, HERMITICITY_TOL, TRACE_TOL, PSD_TOL)
+        assert str(batched.value) == errors[first]
+
+    @pytest.mark.parametrize("d", [2, 4, 16])
+    @pytest.mark.parametrize("kind", DEFECTS)
+    @pytest.mark.parametrize("index", [0, 3, 5])
+    def test_one_defect(self, d, kind, index):
+        stack = self._stack(d, 31)
+        stack[index] = _defective(stack[index], kind)
+        self._expect_first_error(stack, DEFECT_WORDS[kind])
+
+    @pytest.mark.parametrize("d", [2, 4, 16])
+    @pytest.mark.parametrize("first,second", itertools.product(DEFECTS, repeat=2))
+    def test_two_defects_report_the_first(self, d, first, second):
+        # the later defect is the larger one, so its message would differ
+        stack = self._stack(d, 32)
+        stack[1] = _defective(stack[1], first)
+        stack[4] = _defective(stack[4], second, size=5)
+        self._expect_first_error(stack, DEFECT_WORDS[first])
+
+    @pytest.mark.parametrize("d", [2, 4, 16])
+    def test_hermiticity_defect_is_the_frobenius_distance(self, d):
+        # the defect is bitwise frobenius_distance(m, m^dagger): a tolerance
+        # equal to it passes and the next float below it fails
+        stack = self._stack(d, 35)
+        stack += 1e-7 * np.stack([random_unitary(d, spawn_rng(35, d, i)) for i in range(self.N)])
+        herms = [frobenius_distance(mat, dagger(mat)) for mat in stack]
+        for i, herm in enumerate(herms):
+            _density_check(stack[i : i + 1], herm, 1.0, 1.0)
+            with pytest.raises(ValueError, match="not Hermitian"):
+                _density_check(stack[i : i + 1], np.nextafter(herm, 0.0), 1.0, 1.0)
+        _density_check(stack, max(herms), 1.0, 1.0)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            _density_check(stack, np.nextafter(max(herms), 0.0), 1.0, 1.0)
+
+    def test_checks_in_constructor_order(self):
+        # finiteness is named before Hermiticity, Hermiticity before the trace
+        mat = _defective(_defective(np.diag([0.6, 0.6]).astype(complex), "herm"), "nan")
+        with pytest.raises(ValueError, match="entries must be finite"):
+            _density_check(mat[None], HERMITICITY_TOL, TRACE_TOL, PSD_TOL)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            _density_check(
+                _defective(np.diag([0.6, 0.6]).astype(complex), "herm")[None],
+                HERMITICITY_TOL,
+                TRACE_TOL,
+                PSD_TOL,
+            )
+
+    @pytest.mark.parametrize("d", [2, 4, 16])
+    def test_clean_stack_gives_read_only_views(self, d):
+        stack = self._stack(d, 33)
+        states = DensityMatrix._from_stack(stack, 1e-8)
+        assert len(states) == self.N
+        for mat, state in zip(stack, states):
+            assert isinstance(state, DensityMatrix)
+            assert state.dim == d
+            assert not state.mat.flags.writeable
+            assert np.shares_memory(state.mat, stack)
+            assert np.array_equal(state.mat, DensityMatrix(mat).mat)
+        with pytest.raises(ValueError):
+            states[0].mat[0, 0] = 0.5
+
+    def test_stack_slack(self):
+        stack = self._stack(4, 34)
+        stack[2] *= 1 + 1e-9
+        DensityMatrix._from_stack(stack.copy(), 1e-8)
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix._from_stack(stack, 1e-10)
 
 
 class TestKrausSet:

@@ -263,6 +263,17 @@ class TestFreedomSweepCommand:
         assert main(["freedom-sweep", "--dim", "2", "--rank", "17", "--trials", "1"]) == 1
         assert "rank <= 16" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--dim", "--rank"])
+    def test_unallocatable_size_exit_one(self, capsys, flag):
+        # a 1e8-square matrix is hundreds of PiB: numpy refuses it at once
+        assert main(["freedom-sweep", flag, "100000000", "--trials", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "Traceback" not in captured.err
+
     def test_deterministic_bytes(self, fixtures):
         out1 = fixtures["tmp"] / "sweep1.json"
         out2 = fixtures["tmp"] / "sweep2.json"

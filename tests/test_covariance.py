@@ -13,7 +13,6 @@ from covchan.channels import (
     choi_distance,
     choi_matrix,
     completeness_defect,
-    kraus_gram,
     random_kraus_set,
 )
 from covchan.covariance import (
@@ -46,6 +45,13 @@ from covchan.linalg import (
     spawn_rng,
     unitarity_defect,
 )
+
+
+def kraus_gram(ops) -> np.ndarray:
+    """Hilbert-Schmidt Gram matrix ``G[a, b] = Tr(K_a^dagger K_b)``."""
+    w = np.stack([np.ravel(op) for op in ops], axis=1)
+    return w.conj().T @ w
+
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -3,10 +3,30 @@ import itertools
 import numpy as np
 import pytest
 
-from covchan.channels import DensityMatrix, KrausSet, completeness_defect, random_kraus_set
-from covchan.covariance import FrameTransform, MixingUnitary, Verdict
-from covchan.linalg import frobenius_distance, random_density, random_unitary, spawn_rng
+from covchan.channels import (
+    DensityMatrix,
+    KrausSet,
+    _kraus_images,
+    completeness_defect,
+    random_kraus_set,
+)
+from covchan.covariance import (
+    FrameTransform,
+    MixingUnitary,
+    Verdict,
+    conjugate_kraus,
+    mix_kraus,
+    transform_state,
+)
+from covchan.linalg import (
+    dagger,
+    frobenius_distance,
+    random_density,
+    random_unitary,
+    spawn_rng,
+)
 from covchan.scenario import (
+    NULL_BRANCH_PROB,
     Intervention,
     ScenarioConfig,
     Target,
@@ -338,3 +358,91 @@ def test_single_branch_override_mismatch_is_incompatible():
     # probabilities cannot distinguish the single branch; the state does
     assert res.probability_defect <= 1e-12
     assert res.state_defect > 1e-3
+
+
+def _renormalized(mat, prob):
+    """One leaf's state as the runner built it leaf by leaf (the reference)."""
+    if prob <= NULL_BRANCH_PROB:
+        return None
+    state = mat / prob
+    state = 0.5 * (state + dagger(state))
+    return DensityMatrix(state, herm_tol=1e-8, trace_tol=1e-8, psd_tol=1e-8)
+
+
+def _leaf_stacks(cfg):
+    """Both frames' unnormalized leaves, in outcome-sequence order."""
+    d = cfg.initial_state.dim
+    leaves_s = cfg.initial_state.mat[None]
+    leaves_sp = transform_state(cfg.initial_state, cfg.frame).mat[None]
+    for iv in cfg.interventions:
+        k = embed_local(iv.kraus, iv.target, cfg.dim_a, cfg.dim_b)
+        l = conjugate_kraus(k, cfg.frame)
+        if iv.mixing is not None:
+            l = mix_kraus(l, iv.mixing)
+        leaves_s = _kraus_images(k.ops, leaves_s).reshape(-1, d, d)
+        leaves_sp = _kraus_images(l.ops, leaves_sp).reshape(-1, d, d)
+    return leaves_s, leaves_sp
+
+
+class TestLeafStates:
+    """Leaf states validated as one stack are bitwise the leaf-by-leaf ones."""
+
+    def _assert_matches_reference(self, cfg):
+        res = run_scenario(cfg)
+        leaves_s, leaves_sp = _leaf_stacks(cfg)
+        assert len(res.branches) == len(leaves_s)
+        live = 0
+        for br, mat_s, mat_sp in zip(res.branches, leaves_s, leaves_sp):
+            for state, mat, prob in (
+                (br.state_s, mat_s, br.probability_s),
+                (br.state_sprime, mat_sp, br.probability_sprime),
+            ):
+                want = _renormalized(mat, prob)
+                if want is None:
+                    assert state is None
+                    continue
+                live += 1
+                assert not state.mat.flags.writeable
+                assert np.array_equal(state.mat, want.mat)
+        return res, live
+
+    def test_d16_tree_with_null_leaves(self):
+        proj = KrausSet([np.diag(e).astype(complex) for e in np.eye(4)])
+        ivs = (
+            Intervention("z on A", proj, Target.SUBSYSTEM_A),
+            Intervention("z on A again", proj, Target.SUBSYSTEM_A),
+            Intervention("k on B", random_kraus_set(4, 4, 61), Target.SUBSYSTEM_B),
+            Intervention(
+                "k on A",
+                random_kraus_set(4, 4, 62),
+                Target.SUBSYSTEM_A,
+                mixing=MixingUnitary(random_unitary(4, 63)),
+            ),
+        )
+        cfg = ScenarioConfig(
+            initial_state=DensityMatrix.from_state_vector(np.eye(4).ravel()),
+            dim_a=4,
+            dim_b=4,
+            frame=_product_frame(random_unitary(4, 64), random_unitary(4, 65)),
+            interventions=ivs,
+        )
+        res, live = self._assert_matches_reference(cfg)
+        assert len(res.branches) == 256
+        # repeating the projective measurement nulls 12 of every 16 sequences
+        assert live == 2 * 64
+        assert sum(br.state_s is None for br in res.branches) == 192
+        assert sum(br.state_sprime is None for br in res.branches) == 192
+
+    def test_d1_tree_at_the_cap(self):
+        keep_or_drop = KrausSet([np.ones((1, 1)), np.zeros((1, 1))])
+        iv = Intervention(label="m", kraus=keep_or_drop, target=Target.JOINT)
+        cfg = ScenarioConfig(
+            initial_state=DensityMatrix(np.ones((1, 1))),
+            dim_a=1,
+            dim_b=1,
+            frame=FrameTransform(np.ones((1, 1))),
+            interventions=(iv,) * 16,
+        )
+        res, live = self._assert_matches_reference(cfg)
+        assert len(res.branches) == 65536
+        assert live == 2
