@@ -46,4 +46,4 @@ print(f"same channel (Choi)?   {channels_equal(unitary_rep, projector_rep)}")
 
 c1 = choi_matrix(unitary_rep)
 c2 = choi_matrix(projector_rep)
-print(f"Choi distance: {np.linalg.norm(c1.mat - c2.mat):.3e}")
+print(f"Choi distance: {np.linalg.norm(c1 - c2):.3e}")

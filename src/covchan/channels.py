@@ -13,8 +13,11 @@ as ``W = [vec K_1 ... vec K_N | vec L_1 ... vec L_M]`` gives
 ``C_K - C_L = W J W^dagger`` with ``J = diag(+1 x N, -1 x M)``; with the
 thin QR ``W = Q R`` the Choi distance is ``||R J R^dagger||_F``, an
 (N+M)-square matrix, so no d^2 x d^2 matrix is ever built.
-:func:`choi_matrix` builds the dense matrix and is kept as the reference
-that the factored form is tested against.
+:func:`choi_matrix` builds the dense matrix, a plain read-only array, and
+is kept as the reference that the factored form is tested against.
+
+Each value is checked once, where it enters: sets derived from checked
+ones (conjugated, mixed, embedded) are wrapped without re-checking.
 
 Every operator sum goes through one batched kernel, ``_kraus_images``,
 which maps a stack of matrices to their branch images ``K_A M K_A^dagger``.
@@ -39,7 +42,6 @@ __all__ = [
     "HERMITICITY_TOL",
     "PSD_TOL",
     "TRACE_TOL",
-    "ChoiMatrix",
     "DensityMatrix",
     "KrausSet",
     "apply_channel",
@@ -59,6 +61,25 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
 CHANNEL_EQUALITY_TOL = 1e-9
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given.
+
+    For values derived from already-checked ones: the constructor and its
+    checks do not run, so callers pass exactly what it would have stored.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _readonly(a) -> np.ndarray:
+    """Fresh ``a`` as read-only C-contiguous complex128; frozen in place if it is."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    a.setflags(write=False)
+    return a
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -132,12 +153,7 @@ class DensityMatrix:
         """
         _density_check(mats, tol, tol, tol)
         mats.setflags(write=False)
-        states = []
-        for mat in mats:
-            state = object.__new__(cls)
-            object.__setattr__(state, "mat", mat)
-            states.append(state)
-        return states
+        return [_trusted(cls, mat=mat) for mat in mats]
 
     @property
     def dim(self) -> int:
@@ -200,26 +216,6 @@ class KrausSet:
         return len(self.ops)
 
 
-@dataclass(frozen=True, eq=False)
-class ChoiMatrix:
-    """Canonical d^2 x d^2 channel representative; the reference oracle."""
-
-    mat: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        mat = as_cmatrix(self.mat, name="Choi matrix")
-        d2 = self.dim * self.dim
-        if mat.shape != (d2, d2):
-            raise ValueError(
-                f"Choi matrix for dim {self.dim} must be {d2}x{d2}, got {mat.shape}"
-            )
-        herm = frobenius_distance(mat, dagger(mat))
-        if herm > HERMITICITY_TOL:
-            raise ValueError(f"Choi matrix is not Hermitian: defect {herm:.3e}")
-        object.__setattr__(self, "mat", mat)
-
-
 def _kraus_images(ops, mats) -> np.ndarray:
     """Branch images ``K_A M K_A^dagger``, shape ``(..., N, d, d)``.
 
@@ -272,21 +268,31 @@ def completeness_defect(k: KrausSet) -> float:
     return frobenius_distance(acc, np.eye(k.dim))
 
 
-def _derived_set(k: KrausSet, ops, scale: float = 1.0) -> KrausSet:
-    """A set made from ``k``'s operators, with slack for ``scale`` times its defect."""
-    tol = max(COMPLETENESS_TOL, scale * completeness_defect(k) + 1e-10)
-    return KrausSet(ops, trace_preserving=k.trace_preserving, completeness_tol=tol)
+def _derived_set(k: KrausSet, ops) -> KrausSet:
+    """A set of operators computed from ``k``'s, which the set may own.
+
+    Completeness was decided when ``k`` and the frame or mixing applied to
+    it entered, at their tolerances, so it is not checked again; only
+    overflow is new, so finiteness is.
+    """
+    ops = _readonly(ops)
+    bad = ~np.isfinite(ops).all(axis=(1, 2))
+    if bad.any():
+        raise ValueError(f"Kraus operator {int(bad.argmax())}: entries must be finite")
+    return _trusted(KrausSet, ops=tuple(ops), trace_preserving=k.trace_preserving)
 
 
-def choi_matrix(k: KrausSet) -> ChoiMatrix:
-    """``sum_A vec(K_A) vec(K_A)^dagger`` with column-stacking vec."""
+def choi_matrix(k: KrausSet) -> np.ndarray:
+    """``sum_A vec(K_A) vec(K_A)^dagger`` with column-stacking vec.
+
+    A read-only Hermitian ``(d^2, d^2)`` array; the dense reference oracle.
+    """
     d = k.dim
     c = np.zeros((d * d, d * d), dtype=np.complex128)
     for op in k.ops:
         v = vec(op)
         c += np.outer(v, v.conj())
-    c = 0.5 * (c + dagger(c))
-    return ChoiMatrix(c, d)
+    return _readonly(0.5 * (c + dagger(c)))
 
 
 def _factored_choi(k: KrausSet, l: KrausSet):

@@ -46,11 +46,6 @@ from .serialization import (
 
 __all__ = [
     "NONTRIVIAL_MIXING_FLOOR",
-    "build_parser",
-    "cmd_analyze",
-    "cmd_freedom_sweep",
-    "cmd_n1_search",
-    "cmd_scenario",
     "freedom_sweep",
     "main",
 ]

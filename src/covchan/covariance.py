@@ -30,6 +30,8 @@ from .channels import (
     _factored_choi,
     _kraus_images,
     _output_state,
+    _readonly,
+    _trusted,
     choi_distance,
 )
 from .linalg import (
@@ -109,7 +111,8 @@ class FrameTransform(_Unitary):
         return self.mat.shape[0]
 
     def inverse(self) -> "FrameTransform":
-        return FrameTransform(dagger(self.mat))
+        """``Lam^dagger``, as unitary as ``Lam`` was when it was accepted."""
+        return _trusted(FrameTransform, mat=_readonly(dagger(self.mat)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,6 +228,15 @@ def _operator_distance(a: KrausSet, b: KrausSet) -> float:
     return max(frobenius_distance(x, y) for x, y in zip(a.ops, b.ops))
 
 
+def _verdict(defect: float, distance: float, tol: float) -> Verdict:
+    """Incompatible past ``tol``, else covariant when ``distance`` is within it."""
+    if defect > tol:
+        return Verdict.INCOMPATIBLE
+    if distance <= tol:
+        return Verdict.COVARIANT
+    return Verdict.NONCOVARIANT_COMPATIBLE
+
+
 def analyze(
     k: KrausSet,
     lprime: KrausSet,
@@ -234,19 +246,13 @@ def analyze(
     """Classify a two-frame pair: covariant, compatible, or incompatible."""
     residual = compatibility_residual(k, lprime, f)
     distance = covariant_distance(k, lprime, f)
-    if residual > tol:
-        verdict = Verdict.INCOMPATIBLE
-    elif distance <= tol:
-        verdict = Verdict.COVARIANT
-    else:
-        verdict = Verdict.NONCOVARIANT_COMPATIBLE
     return CovarianceReport(
         residual=residual,
         covariant_distance=distance,
         rank=k.rank,
         dim=k.dim,
         tol=tol,
-        verdict=verdict,
+        verdict=_verdict(residual, distance, tol),
     )
 
 
@@ -553,10 +559,11 @@ def extract_mixing(
         return None
     v = np.linalg.solve(r_k, r[:n, n:]).T
 
-    if unitarity_defect(v) > tol:
+    # a non-finite V has a NaN or infinite defect and must fail here
+    if not unitarity_defect(v) <= tol:
         return None
     rebuilt = np.einsum("ab,bij->aij", v, np.stack(k.ops))
     errors = np.linalg.norm((np.stack(l.ops) - rebuilt).reshape(n, -1), axis=1)
     if float(errors.max()) > tol * n:
         return None
-    return MixingUnitary(v, unitarity_tol=tol)
+    return _trusted(MixingUnitary, mat=_readonly(v))

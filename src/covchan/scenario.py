@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +33,7 @@ from .covariance import (
     MixingUnitary,
     Verdict,
     _operator_distance,
+    _verdict,
     conjugate_kraus,
     mix_kraus,
     transform_state,
@@ -217,15 +217,12 @@ def embed_local(k: KrausSet, target: Target, dim_a: int, dim_b: int) -> KrausSet
             raise ValueError(f"set dim {k.dim} does not match subsystem A ({dim_a})")
         eye = np.eye(dim_b)
         ops = [np.kron(op, eye) for op in k.ops]
-        scale = math.sqrt(dim_b)
     else:
         if k.dim != dim_b:
             raise ValueError(f"set dim {k.dim} does not match subsystem B ({dim_b})")
         eye = np.eye(dim_a)
         ops = [np.kron(eye, op) for op in k.ops]
-        scale = math.sqrt(dim_a)
-    # the identity factor multiplies the completeness defect by sqrt(dim)
-    return _derived_set(k, ops, scale)
+    return _derived_set(k, ops)
 
 
 def _sprime_set(
@@ -332,13 +329,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     state_defect = frobenius_distance(sigma, _kraus_images([cfg.frame.mat], rho)[0])
     covariance_defect = max(probability_defect, state_defect)
 
-    if covariance_defect > cfg.tol:
-        verdict = Verdict.INCOMPATIBLE
-    elif representation_distance <= cfg.tol:
-        verdict = Verdict.COVARIANT
-    else:
-        verdict = Verdict.NONCOVARIANT_COMPATIBLE
-
     return ScenarioResult(
         dim_a=cfg.dim_a,
         dim_b=cfg.dim_b,
@@ -351,5 +341,5 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         covariance_defect=covariance_defect,
         representation_distance=representation_distance,
         tol=cfg.tol,
-        verdict=verdict,
+        verdict=_verdict(covariance_defect, representation_distance, cfg.tol),
     )

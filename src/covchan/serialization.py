@@ -204,7 +204,7 @@ def parse_scenario_config(obj, path: str, default_tol: float) -> ScenarioConfig:
         if not isinstance(label, str):
             raise InputError(f"{iv_path}.label: expected a string")
         target_str = _get(iv_obj, "target", iv_path)
-        if target_str not in _TARGETS:
+        if not isinstance(target_str, str) or target_str not in _TARGETS:
             raise InputError(
                 f"{iv_path}.target: expected one of {sorted(_TARGETS)}, "
                 f"got {target_str!r}"

@@ -3,6 +3,7 @@ import enum
 import json
 import math
 import os
+import random
 import stat
 
 import numpy as np
@@ -166,6 +167,20 @@ def test_scenario_config_bad_target_named():
         parse_scenario_config(obj, "cfg", 1e-9)
 
 
+@pytest.mark.parametrize("target", [["A"], {"A": 1}, 5, None])
+def test_scenario_config_non_string_target_named(target):
+    # an unhashable target once escaped as a TypeError
+    obj = {
+        "dim_a": 1,
+        "dim_b": 1,
+        "initial_state": matrix_to_obj(np.eye(1)),
+        "frame": matrix_to_obj(np.eye(1)),
+        "interventions": [{"target": target, "kraus": _kraus_obj([np.eye(1)])}],
+    }
+    with pytest.raises(InputError, match=r"interventions\[0\]\.target"):
+        parse_scenario_config(obj, "cfg", 1e-9)
+
+
 class TestAnalyzeCommand:
     def test_covariant_exit_zero(self, fixtures, capsys):
         code = main(
@@ -215,6 +230,15 @@ class TestAnalyzeCommand:
         code = main(["analyze", fixtures["ident"], fixtures["ident"], lam])
         assert code == 1
         assert "unitary" in capsys.readouterr().err
+
+    def test_frame_accepted_at_loose_tol_is_not_rechecked(self, fixtures, capsys):
+        # unitarity defect 8.5e-9: past the default 1e-10, within --tol
+        lam = random_unitary(2, 3) * (1.0 + 3e-9)
+        path = _write(fixtures["tmp"], "lam_edge.json", matrix_to_obj(lam))
+        code = main(["analyze", fixtures["ident"], fixtures["ident"], path, "--tol", "1e-6"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert json.loads(captured.out)["results"]["verdict"] == "COVARIANT"
 
     def test_report_structure(self, fixtures, capsys):
         main(["analyze", fixtures["ident"], fixtures["ident"], fixtures["lam_ident"]])
@@ -346,6 +370,21 @@ class TestScenarioCommand:
         assert code == 2
         assert report["results"]["verdict"] == "INCOMPATIBLE"
 
+    def test_mixing_at_a_loose_tol_is_exposed_by_later_branches(self, fixtures, capsys):
+        # Z on A with a (slightly scaled) Hadamard mixing, then Z on B: frame S
+        # puts 1/2 on (0,0) and (1,1), frame S' 1/4 on every leaf
+        cfg = json.loads((fixtures["tmp"] / "scenario.json").read_text())
+        cfg["tol"] = 1e-6
+        meas = cfg["interventions"][0]
+        mixed = dict(meas, mixing=matrix_to_obj(S2 * np.array([[1, 1], [1, -1]]) * (1 + 3e-9)))
+        cfg["interventions"] = [mixed, dict(meas, label="z on B", target="B")]
+        code = main(["scenario", _write(fixtures["tmp"], "mixed.json", cfg)])
+        captured = capsys.readouterr()
+        assert code == 2, captured.err
+        results = json.loads(captured.out)["results"]
+        assert results["verdict"] == "INCOMPATIBLE"
+        assert abs(results["probability_defect"] - 0.25) <= 1e-8
+
     def test_malformed_config_exit_one(self, fixtures, capsys):
         bad = _write(fixtures["tmp"], "cfg_bad.json", {"dim_a": 2})
         code = main(["scenario", bad])
@@ -405,6 +444,144 @@ class TestMalformedInputFiles:
         assert len(lines) == 1
         assert lines[0].startswith(f"error: {path}{field}: ")
         assert "Traceback" not in captured.err
+
+
+# Keys a valid file may leave out; dropping any other key is an error.
+_OPTIONAL_KEYS = {"label", "tol", "mixing", "sprime_kraus", "trace_preserving"}
+
+_MUTATIONS = (
+    "drop-key",
+    "wrong-type",
+    "bool",
+    "string-number",
+    "huge-int",
+    "short-pair",
+    "long-pair",
+    "non-object-root",
+)
+
+
+def _sites(obj, path=()):
+    """Every ``(path, value)`` of a JSON value, the root first."""
+    yield path, obj
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _sites(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _sites(value, path + (i,))
+
+
+def _mutations(obj, kind):
+    """``(path, replacement)`` for every site ``kind`` applies to; None drops."""
+    for path, value in _sites(obj):
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        pair = len(path) >= 2 and path[-2] == "data"
+        if kind == "non-object-root" and not path:
+            yield path, [value]
+        elif not path:
+            continue
+        elif kind == "drop-key" and isinstance(path[-1], str):
+            if path[-1] not in _OPTIONAL_KEYS:
+                yield path, None
+        elif kind == "wrong-type":
+            # a list wraps every other type; a str in a list is unhashable
+            yield path, {} if isinstance(value, list) else [value]
+        elif kind == "bool" and not isinstance(value, bool):
+            yield path, True
+        elif kind == "string-number" and number:
+            yield path, repr(value)
+        elif kind == "huge-int" and number:
+            yield path, 10**400
+        elif kind == "short-pair" and pair:
+            yield path, value[:1]
+        elif kind == "long-pair" and pair:
+            yield path, value + [0.0]
+
+
+def _mutated(obj, path, replacement):
+    if not path:
+        return replacement
+    obj = json.loads(json.dumps(obj))
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    if replacement is None:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = replacement
+    return obj
+
+
+def _field_path(path):
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+
+
+def _fuzz_inputs(tmp):
+    """Valid files, one per parsed input: ``{name: (object, argv for a path)}``."""
+    u = random_unitary(2, spawn_rng(311, 0))
+    kraus = _kraus_obj([S2 * u, S2 * u @ Z])
+    proj = _kraus_obj([np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)])
+    scenario = {
+        "dim_a": 2,
+        "dim_b": 2,
+        "tol": 1e-9,
+        "initial_state": matrix_to_obj(np.full((4, 4), 0.25)),
+        "frame": matrix_to_obj(np.kron(u, I2)),
+        "interventions": [
+            {"label": "a", "target": "A", "kraus": proj, "mixing": matrix_to_obj(X)},
+            {
+                "label": "b",
+                "target": "B",
+                "kraus": proj,
+                "sprime_kraus": dict(proj, trace_preserving=True),
+            },
+        ],
+    }
+    frame = matrix_to_obj(random_unitary(2, spawn_rng(311, 1)))
+    k_path = _write(tmp, "fuzz-k.json", kraus)
+    f_path = _write(tmp, "fuzz-f.json", frame)
+    return {
+        "analyze-kraus": (kraus, lambda p: ["analyze", p, k_path, f_path]),
+        "analyze-frame": (frame, lambda p: ["analyze", k_path, k_path, p]),
+        "n1-search": (matrix_to_obj(u), lambda p: ["n1-search", p, f_path, "--trials", "2"]),
+        "scenario": (scenario, lambda p: ["scenario", p]),
+    }
+
+
+class TestParserFuzz:
+    """Seeded mutations of valid files: exit 1, one error line naming the field.
+
+    The line must hold the file path followed by the mutated site's path;
+    for a key, the path of its enclosing object and the key's name suffice,
+    since a size that no data can match is reported where it is compared.
+    """
+
+    @pytest.mark.parametrize("kind", _MUTATIONS)
+    @pytest.mark.parametrize(
+        "name", ["analyze-kraus", "analyze-frame", "n1-search", "scenario"]
+    )
+    def test_mutation_is_one_named_error(self, tmp_path, capsys, name, kind):
+        obj, argv = _fuzz_inputs(tmp_path)[name]
+        assert main(argv(_write(tmp_path, "valid.json", obj))) in (0, 2)
+        capsys.readouterr()
+        sites = list(_mutations(obj, kind))
+        assert sites
+        rng = random.Random(_MUTATIONS.index(kind) * 10 + len(name))
+        for i, (path, replacement) in enumerate(rng.sample(sites, min(12, len(sites)))):
+            # a fresh name per file: overwriting a file is slow on some filesystems
+            file = _write(tmp_path, f"mutant-{i}.json", _mutated(obj, path, replacement))
+            code = main(argv(file))
+            captured = capsys.readouterr()
+            where = f"{name} {kind} at {_field_path(path) or 'root'}"
+            assert code == 1, where
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), where
+            if path and isinstance(path[-1], str):
+                assert f"{file}{_field_path(path[:-1])}" in lines[0], where
+                assert path[-1] in lines[0], where
+            else:
+                assert f"{file}{_field_path(path)}" in lines[0], where
 
 
 class TestCliPlumbing:

@@ -18,6 +18,7 @@ from covchan.channels import (
 from covchan.covariance import (
     GRAM_MIN_EIGENVALUE,
     PHASE_DISTANCE_FLOOR,
+    UNITARY_TOL,
     CovarianceReport,
     FrameTransform,
     MixingUnitary,
@@ -36,7 +37,7 @@ from covchan.covariance import (
     phase_permutation_distance,
     transform_state,
 )
-from covchan.covariance import _rank1_choi_residual
+from covchan.covariance import _rank1_choi_residual, _verdict
 from covchan.linalg import (
     dagger,
     frobenius_distance,
@@ -174,7 +175,7 @@ class TestCompatibilityResidual:
             eps = factor * tol / norm_sq
             ops = [np.sqrt(1.0 + eps) * k.ops[0], *k.ops[1:]]
             perturbed = KrausSet(ops, trace_preserving=False)
-            dense = frobenius_distance(choi_matrix(k).mat, choi_matrix(perturbed).mat)
+            dense = frobenius_distance(choi_matrix(k), choi_matrix(perturbed))
             rep = analyze(k, conjugate_kraus(perturbed, f), f, tol)
             assert abs(rep.residual - dense) <= 1e-12
             assert (dense > tol) == (factor > 1.0)
@@ -281,6 +282,99 @@ class TestAnalyze:
                 assert rep.verdict is Verdict.COVARIANT
             else:
                 assert rep.verdict is Verdict.NONCOVARIANT_COMPATIBLE
+
+
+class TestVerdictRule:
+    @pytest.mark.parametrize(
+        "defect, distance, verdict",
+        [
+            (2e-9, 0.0, Verdict.INCOMPATIBLE),
+            (math.inf, 0.0, Verdict.INCOMPATIBLE),
+            (1e-9, 1e-9, Verdict.COVARIANT),
+            (0.0, 2e-9, Verdict.NONCOVARIANT_COMPATIBLE),
+            (0.0, math.inf, Verdict.NONCOVARIANT_COMPATIBLE),
+            # NaN fails both comparisons
+            (math.nan, 0.0, Verdict.COVARIANT),
+            (0.0, math.nan, Verdict.NONCOVARIANT_COMPATIBLE),
+        ],
+    )
+    def test_three_way_rule(self, defect, distance, verdict):
+        assert _verdict(defect, distance, 1e-9) is verdict
+
+
+def _assert_stored_as(ops, checked):
+    """Derived arrays are stored exactly as the checking constructor stores them."""
+    assert len(ops) == len(checked)
+    for a, b in zip(ops, checked):
+        assert a.dtype == np.complex128 and a.shape == b.shape
+        assert a.flags.c_contiguous and not a.flags.writeable
+        assert np.array_equal(a, b)
+
+
+class TestDerivedValues:
+    """Sets, frames and mixings computed from checked values."""
+
+    @pytest.mark.parametrize("trial", range(12))
+    def test_conjugated_and_mixed_sets(self, trial):
+        d, n = 2 + trial % 3, 1 + trial % 4
+        k = random_kraus_set(d, n, spawn_rng(83, trial, 0))
+        f = FrameTransform(random_unitary(d, spawn_rng(83, trial, 1)))
+        v = MixingUnitary(random_unitary(n, spawn_rng(83, trial, 2)))
+        for out in (conjugate_kraus(k, f), mix_kraus(k, v)):
+            assert out.trace_preserving
+            _assert_stored_as(out.ops, KrausSet(out.ops).ops)
+            assert completeness_defect(out) <= 1e-12
+
+    def test_selective_set_stays_selective(self):
+        branch = KrausSet([np.diag([1.0, 0.0])], trace_preserving=False)
+        out = conjugate_kraus(branch, FrameTransform(H))
+        assert not out.trace_preserving
+        _assert_stored_as(out.ops, KrausSet(out.ops, trace_preserving=False).ops)
+
+    def test_inverse_frame(self):
+        f = FrameTransform(random_unitary(3, 5))
+        _assert_stored_as([f.inverse().mat], [FrameTransform(dagger(f.mat)).mat])
+
+    def test_extracted_mixing(self):
+        k = random_kraus_set(3, 4, spawn_rng(89, 0))
+        v = MixingUnitary(random_unitary(4, spawn_rng(89, 1)))
+        got = extract_mixing(k, mix_kraus(k, v))
+        _assert_stored_as([got.mat], [MixingUnitary(got.mat).mat])
+
+    def test_non_finite_mixing_is_not_returned(self, monkeypatch):
+        # the verification that replaced the constructor must refuse NaN too
+        k = random_kraus_set(2, 2, spawn_rng(89, 2))
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(b.shape, np.nan))
+        assert extract_mixing(k, k) is None
+
+    def test_overflow_in_a_derived_set_is_an_error(self):
+        # a selective branch may be arbitrarily large; its conjugate overflows
+        big = KrausSet([np.full((2, 2), 1e308)], trace_preserving=False)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="Kraus operator 0: entries must be finite"
+        ):
+            conjugate_kraus(big, FrameTransform(H))
+
+
+class TestToleranceEdge:
+    """Inputs that pass their own checks are not refused through derived values."""
+
+    def test_frame_and_set_at_their_tolerances(self):
+        k = KrausSet([np.diag([np.sqrt(1.0 + 9e-10), 1.0])])
+        lam = random_unitary(2, 3) * (1.0 + 3.2e-11)
+        f = FrameTransform(lam)
+        assert 8e-10 < completeness_defect(k) <= COMPLETENESS_TOL
+        assert 8e-11 < unitarity_defect(lam) <= UNITARY_TOL
+        # the conjugated set's defect is past the default completeness tolerance
+        assert completeness_defect(conjugate_kraus(k, f)) > COMPLETENESS_TOL
+        assert analyze(k, k, f).verdict is Verdict.COVARIANT
+
+    def test_frame_at_a_loose_tolerance(self):
+        lam = random_unitary(2, 3) * (1.0 + 3e-9)
+        f = FrameTransform(lam, unitarity_tol=1e-6)
+        assert unitarity_defect(f.inverse().mat) > UNITARY_TOL
+        rep = analyze(KrausSet([I2]), KrausSet([I2]), f, tol=1e-6)
+        assert rep.verdict is Verdict.COVARIANT
 
 
 class TestPhaseAlignedDistance:

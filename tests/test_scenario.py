@@ -73,6 +73,16 @@ class TestEmbedLocal:
             out = embed_local(k, Target.SUBSYSTEM_A, 2, 3)
             assert completeness_defect(out) <= 1e-10
 
+    @pytest.mark.parametrize("target", list(Target))
+    def test_stored_as_the_checked_constructor_stores(self, target):
+        local = {Target.SUBSYSTEM_A: 2, Target.SUBSYSTEM_B: 3, Target.JOINT: 6}[target]
+        out = embed_local(random_kraus_set(local, 3, spawn_rng(101, local)), target, 2, 3)
+        for a, b in zip(out.ops, KrausSet(out.ops).ops, strict=True):
+            assert a.dtype == np.complex128 and a.shape == (6, 6)
+            assert a.flags.c_contiguous and not a.flags.writeable
+            assert np.array_equal(a, b)
+        assert completeness_defect(out) <= 1e-12
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="subsystem"):
             embed_local(KrausSet([np.eye(3)]), Target.SUBSYSTEM_A, 2, 2)
