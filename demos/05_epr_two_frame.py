@@ -9,8 +9,9 @@ set for the second frame changes the branch states on paper, and here not
 this measurement's statistics, because A's half of a Bell pair is
 maximally mixed. That does not hold in general: only the non-selective
 channel is the same for every mixing. A mixing that is not diagonal
-phases changes the selective branches, and a later measurement (Z on B
-here) or another state can expose it.
+phases changes the selective branches, and a later measurement or another
+state can expose it: the last run mixes Z on A by a Hadamard and then
+measures Z on B, and the joint statistics of the two frames differ.
 """
 
 import numpy as np
@@ -71,3 +72,28 @@ print("branch probabilities, frame S':", [f"{p:.3f}" for p in rec.probabilities_
 print(f"probability defect:      {mixed.probability_defect:.3e}")
 print(f"representation distance: {mixed.representation_distance:.3f}")
 print(f"verdict: {mixed.verdict.name}")
+
+# A mixing that is not diagonal phases shows in later statistics. Mix the
+# Z measurement on A by a Hadamard: its branch operators become I/sqrt(2)
+# and Z/sqrt(2), the same non-selective channel, but A's outcome no longer
+# predicts B's. A Z measurement on B then tells the two frames apart.
+cfg = ScenarioConfig(
+    initial_state=bell,
+    dim_a=2,
+    dim_b=2,
+    frame=frame,
+    interventions=(
+        Intervention("z on A", z_meas, Target.SUBSYSTEM_A, mixing=MixingUnitary(HAD)),
+        Intervention("z on B", z_meas, Target.SUBSYSTEM_B),
+    ),
+)
+exposed = run_scenario(cfg)
+
+print("\nmixing z on A by H, then z on B: joint outcome probabilities")
+for name, field in (("S ", "probability_s"), ("S'", "probability_sprime")):
+    table = {b.sequence: getattr(b, field) for b in exposed.branches}
+    print(f"  frame {name}   B=0    B=1")
+    for a in (0, 1):
+        print(f"    A={a}   " + "  ".join(f"{table[(a, b)]:.3f}" for b in (0, 1)))
+print(f"probability defect: {exposed.probability_defect:.3f}")
+print(f"verdict: {exposed.verdict.name}")

@@ -268,14 +268,16 @@ def completeness_defect(k: KrausSet) -> float:
     return frobenius_distance(acc, np.eye(k.dim))
 
 
-def _derived_set(k: KrausSet, ops) -> KrausSet:
-    """A set of operators computed from ``k``'s, which the set may own.
+def _derived_set(k: KrausSet, compute) -> KrausSet:
+    """The set of operators ``compute()`` derives from ``k``'s.
 
     Completeness was decided when ``k`` and the frame or mixing applied to
     it entered, at their tolerances, so it is not checked again; only
-    overflow is new, so finiteness is.
+    overflow is new, so finiteness is, and numpy's overflow warnings are
+    silenced so that this check's error is all a caller sees.
     """
-    ops = _readonly(ops)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ops = _readonly(compute())
     bad = ~np.isfinite(ops).all(axis=(1, 2))
     if bad.any():
         raise ValueError(f"Kraus operator {int(bad.argmax())}: entries must be finite")

@@ -169,7 +169,7 @@ def conjugate_kraus(k: KrausSet, f: FrameTransform) -> KrausSet:
     """
     if k.dim != f.dim:
         raise ValueError(f"dimension mismatch: set {k.dim} vs frame {f.dim}")
-    return _derived_set(k, _kraus_images([f.mat], k.ops)[:, 0])
+    return _derived_set(k, lambda: _kraus_images([f.mat], k.ops)[:, 0])
 
 
 def compatibility_residual(k: KrausSet, lprime: KrausSet, f: FrameTransform) -> float:
@@ -196,7 +196,7 @@ def mix_kraus(k: KrausSet, v: MixingUnitary) -> KrausSet:
     """
     if v.rank != k.rank:
         raise ValueError(f"rank mismatch: mixing {v.rank} vs set {k.rank}")
-    return _derived_set(k, np.einsum("ab,bij->aij", v.mat, k.ops))
+    return _derived_set(k, lambda: np.einsum("ab,bij->aij", v.mat, k.ops))
 
 
 def make_noncovariant_solution(

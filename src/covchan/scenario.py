@@ -23,6 +23,7 @@ import numpy as np
 
 from .channels import (
     CHANNEL_EQUALITY_TOL,
+    COMPLETENESS_TOL,
     DensityMatrix,
     KrausSet,
     _derived_set,
@@ -58,7 +59,7 @@ NULL_BRANCH_PROB = 1e-12
 
 _MAX_BRANCHES = 65536
 
-# Validation slack for leaf and final states: cancellation in low-probability
+# Least slack for leaf and final states: cancellation in low-probability
 # branches leaves more dust than the default constructor tolerances admit.
 _STATE_SLACK = 1e-8
 
@@ -222,7 +223,7 @@ def embed_local(k: KrausSet, target: Target, dim_a: int, dim_b: int) -> KrausSet
             raise ValueError(f"set dim {k.dim} does not match subsystem B ({dim_b})")
         eye = np.eye(dim_a)
         ops = [np.kron(eye, op) for op in k.ops]
-    return _derived_set(k, ops)
+    return _derived_set(k, lambda: ops)
 
 
 def _sprime_set(
@@ -304,8 +305,14 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     states /= probs[live][:, None, None]
     states += states.conj().swapaxes(-1, -2)
     states *= 0.5
+    # Sets, frames and mixings entered at t = max(tol, COMPLETENESS_TOL), and
+    # each one applied scales a trace by at most 1 + t: the initial frame,
+    # then per intervention the set, the frame on either side of it and a
+    # mixing, so the final traces are within (1 + t)^(1 + 4n) - 1 of 1.
+    t = max(cfg.tol, COMPLETENESS_TOL)
+    slack = max(_STATE_SLACK, (1 + t) ** (1 + 4 * len(cfg.interventions)) - 1)
     *leaf_states, final_s, final_sp = DensityMatrix._from_stack(
-        np.concatenate([states, rho[None], sigma[None]]), _STATE_SLACK
+        np.concatenate([states, rho[None], sigma[None]]), slack
     )
     leaf_states = iter(leaf_states)
     branches = tuple(

@@ -9,9 +9,13 @@ from the result dataclasses, keys in field order; each matrix's data goes
 out in one join. Report floats rely on Python's shortest round-trip repr,
 so identical results serialize to identical bytes; non-finite scalars
 become null, and a non-finite matrix entry is a ValueError.
-Reports are written atomically (temp file, then rename), so a failed run
-never leaves a partial report behind; the file gets the mode a plain
-``open(out, "w")`` would give a new file, ``0o666 & ~umask``.
+Reports are streamed as they are encoded, in writes of about 64 KiB, so a
+report is never held in memory whole. A file report is streamed into a
+temp file and renamed over ``out`` once complete, so a failed run never
+leaves a partial report behind; the file gets the mode a plain
+``open(out, "w")`` would give a new file, ``0o666 & ~umask``. On stdout,
+an encoder failure (only a non-finite matrix or a type it cannot encode,
+which no parsed input gives) leaves the part already written.
 """
 
 from __future__ import annotations
@@ -250,6 +254,14 @@ def parse_scenario_config(obj, path: str, default_tol: float) -> ScenarioConfig:
 
 _INDENT = "  "
 
+# A report goes to its destination in writes of about this many characters
+# (one matrix's text more at most), so it is never held in memory whole.
+_CHUNK = 64 * 1024
+
+
+class _Buffer(list):
+    __slots__ = ("write", "size")  # where the pieces go, and their characters
+
 
 def _key(key) -> str:
     if not isinstance(key, str):
@@ -257,56 +269,64 @@ def _key(key) -> str:
     return f"{encode_basestring_ascii(key)}: "
 
 
-def _write(obj, level: int, out: list) -> None:
-    """Append the JSON text of a report value at nesting ``level`` to ``out``.
+def _write(obj, level: int, out: _Buffer, lead: str = "") -> None:
+    """Add ``lead`` and the JSON text of a report value at nesting ``level``.
 
     Result dataclasses become objects in field order, so the dataclasses
     are the report schema. Non-finite floats become null; enums their
     value; density matrices and arrays the matrix file format.
     """
     if isinstance(obj, float):
-        out.append(float.__repr__(obj) if math.isfinite(obj) else "null")
+        text = float.__repr__(obj) if math.isfinite(obj) else "null"
     elif obj is None:
-        out.append("null")
+        text = "null"
     elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
+        text = "true" if obj else "false"
     elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
+        text = int.__repr__(obj)
     elif isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif isinstance(obj, (list, tuple)):
-        _write_block("[]", (("", v) for v in obj), level, out)
-    elif isinstance(obj, enum.Enum):
-        _write(obj.value, level, out)
+        text = encode_basestring_ascii(obj)
     elif isinstance(obj, DensityMatrix):
-        _write_matrix(obj.mat, level, out)
+        text = _matrix_text(obj.mat, level)
     elif isinstance(obj, np.ndarray):
-        _write_matrix(obj, level, out)
+        text = _matrix_text(obj, level)
+    elif isinstance(obj, (list, tuple)):
+        return _write_block("[]", (("", v) for v in obj), level, out, lead)
+    elif isinstance(obj, enum.Enum):
+        return _write(obj.value, level, out, lead)
     elif isinstance(obj, dict):
-        _write_block("{}", ((_key(k), v) for k, v in obj.items()), level, out)
+        members = ((_key(k), v) for k, v in obj.items())
+        return _write_block("{}", members, level, out, lead)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         fields = dataclasses.fields(obj)
         members = ((_key(f.name), getattr(obj, f.name)) for f in fields)
-        _write_block("{}", members, level, out)
+        return _write_block("{}", members, level, out, lead)
     else:
         raise TypeError(f"cannot encode {type(obj).__name__} in a report")
+    out.append(lead + text)
+    out.size += len(lead) + len(text)
 
 
-def _write_block(brackets: str, members, level: int, out: list) -> None:
-    """Append an array or object; ``members`` yields (key prefix, value)."""
+def _write_block(brackets: str, members, level: int, out: _Buffer, lead: str) -> None:
+    """Add ``lead`` and an array or object; ``members`` yields (key prefix, value)."""
     inner = "\n" + _INDENT * (level + 1)
-    sep = brackets[0] + inner
+    sep = lead + brackets[0] + inner
     empty = True
     for prefix, value in members:
-        out.append(sep + prefix)
-        _write(value, level + 1, out)
+        _write(value, level + 1, out, sep + prefix)
+        if out.size >= _CHUNK:
+            out.write("".join(out))
+            out.clear()
+            out.size = 0
         sep = "," + inner
         empty = False
-    out.append(brackets if empty else f"\n{_INDENT * level}{brackets[1]}")
+    text = lead + brackets if empty else f"\n{_INDENT * level}{brackets[1]}"
+    out.append(text)
+    out.size += len(text)
 
 
-def _write_matrix(m, level: int, out: list) -> None:
-    """Append a matrix in the matrix file format, its data in one join."""
+def _matrix_text(m, level: int) -> str:
+    """A matrix in the matrix file format, its data in one join."""
     m = np.ascontiguousarray(m, dtype=np.complex128)
     flat = m.view(np.float64).ravel().tolist()
     if not all(map(math.isfinite, flat)):
@@ -325,41 +345,34 @@ def _write_matrix(m, level: int, out: list) -> None:
     else:
         data = "[]"
     inner = "\n" + _INDENT * (level + 1)
-    out += (
-        f'{{{inner}"rows": {m.shape[0]},{inner}"cols": {m.shape[1]},{inner}"data": ',
-        data,
-        f"\n{_INDENT * level}}}",
+    return (
+        f'{{{inner}"rows": {m.shape[0]},{inner}"cols": {m.shape[1]},{inner}"data": '
+        f"{data}\n{_INDENT * level}}}"
     )
 
 
 def run_report(
     command: str, seed: int, tolerance: float, trials: int, results, version: str
-) -> str:
-    """The report text: the envelope around a result dataclass or dict.
-
-    ASCII JSON indented by 2 and ending in a newline, byte for byte what
-    ``json.dumps(report, indent=2, allow_nan=False) + "\\n"`` gives for the
-    report's plain-JSON form.
-    """
-    envelope = {
-        "command": command,
-        "seed": seed,
-        "tolerance": tolerance,
-        "trials": trials,
-        "results": results,
-        "version": version,
-    }
-    out = []
-    _write(envelope, 0, out)
-    out.append("\n")
-    return "".join(out)
+) -> dict:
+    """The report: the envelope around a result dataclass or dict."""
+    return dict(
+        command=command, seed=seed, tolerance=tolerance, trials=trials,
+        results=results, version=version,
+    )
 
 
-def dump_report(text: str, out: str | None) -> None:
-    """Write a report's text to stdout or atomically to a file."""
+def _stream(report, write) -> None:
+    """Hand ``report``'s text and a final newline to ``write`` in chunks."""
+    out = _Buffer()
+    out.write, out.size = write, 0
+    _write(report, 0, out)
+    write("".join(out) + "\n")
+
+
+def dump_report(report, out: str | None) -> None:
+    """Stream a report's text to stdout, or atomically to a file."""
     if out is None or out == "-":
-        sys.stdout.write(text)
-        return
+        return _stream(report, sys.stdout.write)
     directory = os.path.dirname(os.path.abspath(out))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     # mkstemp makes the file 0600; give it the mode open(out, "w") would
@@ -368,7 +381,7 @@ def dump_report(text: str, out: str | None) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text)
+            _stream(report, fh.write)
         os.replace(tmp_path, out)
     except BaseException:
         try:

@@ -1,27 +1,41 @@
+import contextlib
 import dataclasses
 import enum
+import functools
+import io
 import json
 import math
 import os
 import random
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import covchan
+from covchan import serialization
 from covchan.channels import DensityMatrix, KrausSet
 from covchan.cli import main
 from covchan.covariance import FrameTransform, Verdict, analyze
 from covchan.linalg import random_unitary, spawn_rng
 from covchan.serialization import (
     InputError,
+    dump_report,
+    load_json,
     matrix_to_obj,
     parse_kraus_set,
     parse_matrix,
     parse_scenario_config,
     run_report,
 )
-from covchan.scenario import run_scenario
+from covchan.scenario import (
+    Intervention,
+    ScenarioConfig,
+    Target,
+    run_scenario,
+)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -385,6 +399,56 @@ class TestScenarioCommand:
         assert results["verdict"] == "INCOMPATIBLE"
         assert abs(results["probability_defect"] - 0.25) <= 1e-8
 
+    def test_frame_scaled_within_a_loose_tol_is_covariant(self, fixtures, capsys):
+        # each application of the frame scales the S' traces by (1 + 3e-9)^2,
+        # so the final S' state's trace is off by 3e-8, above a fixed 1e-8
+        cfg = json.loads((fixtures["tmp"] / "scenario.json").read_text())
+        cfg["tol"] = 1e-6
+        cfg["frame"] = matrix_to_obj(np.eye(4) * (1 + 3e-9))
+        meas = cfg["interventions"][0]
+        cfg["interventions"] = [meas, dict(meas, label="z on B", target="B")]
+        code = main(["scenario", _write(fixtures["tmp"], "scaled.json", cfg)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        results = json.loads(captured.out)["results"]
+        assert results["verdict"] == "COVARIANT"
+        trace = np.trace(parse_matrix(results["final_state_sprime"], "final"))
+        assert abs(trace - (1 + 3e-9) ** 10) <= 1e-15
+
+    @pytest.mark.parametrize("edge", [0.99, 1.01])
+    def test_sixteen_interventions_at_the_frame_gate(self, fixtures, capsys, edge):
+        # a frame c U with unitarity defect 2 (c^2 - 1) = edge * tol on the
+        # 4-dim joint space: inside the gate, the final S' trace c^66 is off
+        # by 16x tol, which the state check admits and the verdict reports
+        tol = 1e-6
+        c2 = 1 + edge * tol / 2
+        frame = np.sqrt(c2) * np.kron(random_unitary(2, 3), random_unitary(2, 4))
+        cfg = json.loads((fixtures["tmp"] / "scenario.json").read_text())
+        z = cfg["interventions"][0]["kraus"]
+        had = _kraus_obj([S2 * np.array([[1, 1], [1, -1]], dtype=complex)])
+        steps = [("z", z, "A"), ("h", had, "A"), ("z", z, "B"), ("h", had, "B")]
+        cfg["interventions"] = [
+            {"label": f"{name} on {side} ({r})", "target": side, "kraus": kraus}
+            for r in range(4)
+            for name, kraus, side in steps
+        ]
+        cfg.update(tol=tol, frame=matrix_to_obj(frame))
+        code = main(["scenario", _write(fixtures["tmp"], "edge.json", cfg)])
+        captured = capsys.readouterr()
+        if edge > 1:
+            assert code == 1
+            assert "frame transform is not unitary" in captured.err
+            return
+        assert code == 2, captured.err
+        results = json.loads(captured.out)["results"]
+        assert len(results["interventions"]) == 16
+        assert len(results["branches"]) == 256
+        trace = np.trace(parse_matrix(results["final_state_sprime"], "final")).real
+        assert trace == pytest.approx(c2**33, abs=1e-12)
+        assert trace - 1 > 16 * tol
+        assert results["verdict"] == "INCOMPATIBLE"
+        assert results["probability_defect"] == pytest.approx(c2**33 - 1, rel=1e-3)
+
     def test_malformed_config_exit_one(self, fixtures, capsys):
         bad = _write(fixtures["tmp"], "cfg_bad.json", {"dim_a": 2})
         code = main(["scenario", bad])
@@ -584,6 +648,26 @@ class TestParserFuzz:
                 assert f"{file}{_field_path(path)}" in lines[0], where
 
 
+class TestOverflowingDerivedSet:
+    """Overflow in a derived set is reported by one error line, no warnings."""
+
+    @pytest.mark.parametrize("flags", [[], ["-X", "dev", "-W", "error"]], ids=["plain", "dev"])
+    def test_stderr_is_one_error_line(self, fixtures, flags):
+        big = dict(_kraus_obj([np.full((2, 2), 1e308 + 0j)]), trace_preserving=False)
+        big = _write(fixtures["tmp"], "big.json", big)
+        had = _write(fixtures["tmp"], "h.json", matrix_to_obj(S2 * np.array([[1, 1], [1, -1]])))
+        src = os.path.dirname(os.path.dirname(covchan.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "covchan", "analyze", big, big, had],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: Kraus operator 0: entries must be finite\n"
+
+
 class TestCliPlumbing:
     def test_unknown_flag_exit_one(self, capsys):
         assert main(["analyze", "--nope"]) == 1
@@ -746,7 +830,7 @@ class TestReportSchema:
     @pytest.mark.parametrize("value", [object(), {1, 2}, 1j, [np.int64(1)]])
     def test_encoder_rejects_unknown_objects(self, value):
         with pytest.raises(TypeError, match="cannot encode"):
-            run_report("analyze", 0, 1e-9, 0, value, "0")
+            _report(value)
 
 
 def _reference_jsonable(obj):
@@ -777,8 +861,28 @@ def _reference_jsonable(obj):
     raise TypeError(f"cannot encode {type(obj).__name__} in a report")
 
 
-def _report(results):
+class _Writes(list):
+    """A stand-in for stdout that keeps the text of every ``write`` call."""
+
+    def write(self, text):
+        self.append(text)
+        return len(text)
+
+
+def _envelope(results):
     return run_report("oracle", 7, 1e-9, 3, results, "0.1.0")
+
+
+def _report_writes(results) -> _Writes:
+    writes = _Writes()
+    with contextlib.redirect_stdout(writes):
+        dump_report(_envelope(results), None)
+    return writes
+
+
+def _report(results):
+    """The report text as ``dump_report`` streams it to stdout."""
+    return "".join(_report_writes(results))
 
 
 def _reference_report(results):
@@ -808,6 +912,26 @@ def _null_state_scenario():
     return result
 
 
+@functools.lru_cache(maxsize=None)
+def _tree_4096():
+    """A qubit measured 12 times, in Z and X by turns: 4096 live leaves."""
+    z = KrausSet([np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)])
+    x = KrausSet([0.5 * np.array([[1, s], [s, 1]], dtype=complex) for s in (1, -1)])
+    cfg = ScenarioConfig(
+        initial_state=DensityMatrix(np.array([[0.7, 0.2j], [-0.2j, 0.3]])),
+        dim_a=2,
+        dim_b=1,
+        frame=FrameTransform(random_unitary(2, 11)),
+        interventions=tuple(
+            Intervention(f"m{i}", (z, x)[i % 2], Target.SUBSYSTEM_A) for i in range(12)
+        ),
+    )
+    result = run_scenario(cfg)
+    assert len(result.branches) == 4096
+    assert all(b.state_s is not None and b.state_sprime is not None for b in result.branches)
+    return result
+
+
 def _writer_cases():
     rng = np.random.default_rng(5)
     d32 = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
@@ -833,6 +957,7 @@ def _writer_cases():
         "density": DensityMatrix(np.diag([0.25, 0.75]).astype(complex)),
         "enums-and-dataclass": [Verdict.COVARIANT, analyze(dephase, dephase, lam)],
         "scenario-null-states": _null_state_scenario(),
+        "scenario-4096-leaves": _tree_4096(),
     }
 
 
@@ -840,9 +965,14 @@ class TestReportWriter:
     """The report writer gives exactly ``json.dumps(..., indent=2)``'s text."""
 
     @pytest.mark.parametrize("case", sorted(_writer_cases()))
-    def test_matches_stdlib_indent(self, case):
+    def test_matches_stdlib_indent(self, case, tmp_path):
         results = _writer_cases()[case]
-        assert _report(results) == _reference_report(results)
+        want = _reference_report(results)
+        assert _report(results) == want
+        out = tmp_path / "report.json"
+        dump_report(_envelope(results), str(out))
+        assert out.read_text(encoding="ascii") == want
+        assert os.listdir(tmp_path) == ["report.json"]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_matrix_entry_raises_like_stdlib(self, bad):
@@ -878,3 +1008,96 @@ class TestReportWriter:
         out = fixtures["tmp"] / "round-trip.json"
         assert main(argv + ["--out", str(out)]) == code
         assert out.read_text(encoding="ascii") == text
+
+
+def _matrix_text_length(m, level):
+    """Length of a matrix's report text at nesting ``level``, by the stdlib."""
+    text = json.dumps(matrix_to_obj(m), indent=2)
+    return len(text) + 2 * level * text.count("\n")
+
+
+def _d32_matrices():
+    rng = np.random.default_rng(9)
+    shape = (32, 32)
+    return {"ops": [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(8)]}
+
+
+class TestStreamedReport:
+    """Reports go out in bounded writes; a failed ``--out`` keeps the old file."""
+
+    @pytest.mark.parametrize("case", ["tree-4096", "matrices-d32"])
+    def test_no_write_exceeds_the_buffer_and_one_matrix(self, case):
+        if case == "tree-4096":
+            results = _tree_4096()
+            # envelope, results, branches, branch: the leaf states sit at level 4
+            matrix = max(
+                _matrix_text_length(rho.mat, 4)
+                for b in results.branches
+                for rho in (b.state_s, b.state_sprime)
+            )
+        else:
+            results = _d32_matrices()
+            matrix = max(_matrix_text_length(m, 3) for m in results["ops"])
+        writes = _report_writes(results)
+        assert "".join(writes) == _reference_report(results)
+        assert len(writes) > 1
+        # plus at most 100 characters of keys, separators and brackets
+        assert max(map(len, writes)) <= serialization._CHUNK + matrix + 100
+
+    @pytest.fixture
+    def failing_report(self, monkeypatch):
+        """``covchan.cli`` reports the 4096-leaf tree, then a non-finite matrix."""
+        bad = np.eye(2, dtype=complex)
+        bad[1, 0] = complex(0.0, math.nan)
+
+        def report(command, seed, tolerance, trials, results, version):
+            results = {"tree": _tree_4096(), "results": results, "bad": bad}
+            return run_report(command, seed, tolerance, trials, results, version)
+
+        monkeypatch.setattr("covchan.cli.run_report", report)
+        written = len(_report({"tree": _tree_4096()}))
+        assert written > 3_000_000
+        return written
+
+    def test_failure_after_megabytes_keeps_the_destination(
+        self, fixtures, capsys, monkeypatch, failing_report
+    ):
+        removed = []
+        unlink = os.unlink
+
+        def spy(path):
+            removed.append((os.path.basename(path), os.path.getsize(path)))
+            unlink(path)
+
+        monkeypatch.setattr(serialization.os, "unlink", spy)
+        dest = fixtures["tmp"] / "keep.json"
+        dest.write_bytes(b"previous report\n")
+        before = sorted(os.listdir(fixtures["tmp"]))
+        code = main(["scenario", fixtures["scenario"], "--out", str(dest)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: Out of range float values are not JSON compliant: nan\n"
+        )
+        assert dest.read_bytes() == b"previous report\n"
+        assert sorted(os.listdir(fixtures["tmp"])) == before
+        # the temp file had taken the tree's megabytes before it was removed
+        [(name, size)] = removed
+        assert name.endswith(".tmp")
+        assert size > failing_report - serialization._CHUNK
+
+    def test_failure_on_stdout_keeps_what_was_written(self, fixtures, capsys, failing_report):
+        code = main(["scenario", fixtures["scenario"]])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "error: Out of range float values are not JSON compliant: nan\n"
+        )
+        assert len(captured.out) > failing_report - serialization._CHUNK
+        # what was written is the start of the report, up to the bad matrix
+        path = fixtures["scenario"]
+        cfg = parse_scenario_config(load_json(path), path, 1e-9)
+        finite = {"tree": _tree_4096(), "results": run_scenario(cfg), "bad": np.eye(2)}
+        envelope = run_report("scenario", 0, 1e-9, 0, finite, covchan.__version__)
+        assert json.dumps(_reference_jsonable(envelope), indent=2).startswith(captured.out)
