@@ -39,9 +39,7 @@ from .linalg import (
 __all__ = [
     "CHANNEL_EQUALITY_TOL",
     "COMPLETENESS_TOL",
-    "HERMITICITY_TOL",
-    "PSD_TOL",
-    "TRACE_TOL",
+    "STATE_TOL",
     "DensityMatrix",
     "KrausSet",
     "apply_channel",
@@ -56,9 +54,7 @@ __all__ = [
     "vec",
 ]
 
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
+STATE_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
 CHANNEL_EQUALITY_TOL = 1e-9
 
@@ -87,14 +83,15 @@ def vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).reshape(-1, order="F")
 
 
-def _density_check(mats: np.ndarray, herm_tol, trace_tol, psd_tol) -> None:
+def _density_check(mats: np.ndarray, tol: float) -> None:
     """Validate an ``(n, d, d)`` complex stack, ``n >= 1``, as density matrices.
 
     Each matrix must be finite, Hermitian, of unit trace and positive
-    semidefinite, checked in that order; the first failing matrix raises
-    the error that constructing it alone would. The Hermiticity defect is
-    summed with the dot products of :func:`frobenius_distance`, so it is
-    the same float, and it needs no complex temporary of the stack's size.
+    semidefinite, within ``tol`` and checked in that order; the first
+    failing matrix raises the error that constructing it alone would. The
+    Hermiticity defect is summed with the dot products of
+    :func:`frobenius_distance`, so it is the same float, and it needs no
+    complex temporary of the stack's size.
     """
     n = len(mats)
     diff = (mats - mats.conj().swapaxes(-1, -2)).reshape(n, 1, -1)
@@ -103,14 +100,14 @@ def _density_check(mats: np.ndarray, herm_tol, trace_tol, psd_tol) -> None:
     tr = mats.trace(axis1=-2, axis2=-1)
     # a non-finite entry makes the Hermiticity defect NaN or inf, so only
     # matrices before the first failure here reach the eigensolver
-    bad = ~(herm <= herm_tol) | (abs(tr - 1.0) > trace_tol)
+    bad = ~(herm <= tol) | (abs(tr - 1.0) > tol)
     cut = int(bad.argmax())
     if not bad[cut]:
         cut = n
     if cut:
         # eigenvalues come in ascending order
         lo = np.linalg.eigvalsh(mats[:cut])[:, 0]
-        neg = lo < -psd_tol
+        neg = lo < -tol
         i = int(neg.argmax())
         if neg[i]:
             raise ValueError(f"density matrix has negative eigenvalue {float(lo[i]):.3e}")
@@ -118,7 +115,7 @@ def _density_check(mats: np.ndarray, herm_tol, trace_tol, psd_tol) -> None:
         return
     if not np.isfinite(mats[cut]).all():
         raise ValueError("density matrix: entries must be finite")
-    if herm[cut] > herm_tol:
+    if herm[cut] > tol:
         raise ValueError(f"density matrix is not Hermitian: defect {herm[cut]:.3e}")
     raise ValueError(f"density matrix trace {tr[cut]:.12g} is not 1")
 
@@ -127,21 +124,19 @@ def _density_check(mats: np.ndarray, herm_tol, trace_tol, psd_tol) -> None:
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace complex matrix.
 
-    Validation runs at construction; tolerance knobs exist because channel
-    outputs accumulate slightly more floating dust than hand-written
-    fixtures (see :func:`apply_channel`).
+    The constructor checks at ``STATE_TOL``. States the library derives
+    (channel outputs, frame transforms, scenario leaves) carry more
+    floating dust, so they are checked through :meth:`_from_stack` with a
+    slack for their inputs' defects instead.
     """
 
     mat: np.ndarray
-    herm_tol: InitVar[float] = HERMITICITY_TOL
-    trace_tol: InitVar[float] = TRACE_TOL
-    psd_tol: InitVar[float] = PSD_TOL
 
-    def __post_init__(self, herm_tol: float, trace_tol: float, psd_tol: float):
+    def __post_init__(self):
         mat = as_cmatrix(self.mat, name="density matrix")
         if mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-        _density_check(mat[None], herm_tol, trace_tol, psd_tol)
+        _density_check(mat[None], STATE_TOL)
         object.__setattr__(self, "mat", mat)
 
     @classmethod
@@ -151,7 +146,7 @@ class DensityMatrix:
         Returns one state per matrix, each holding a read-only view of the
         stack; the constructor's per-matrix work is skipped.
         """
-        _density_check(mats, tol, tol, tol)
+        _density_check(mats, tol)
         mats.setflags(write=False)
         return [_trusted(cls, mat=mat) for mat in mats]
 
@@ -256,9 +251,13 @@ def apply_channel(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
 
 
 def _output_state(out: np.ndarray, slack: float) -> DensityMatrix:
-    """Symmetrize an evolved state; validate trace and positivity with ``slack``."""
+    """Symmetrize an evolved state and validate it with ``slack``.
+
+    The symmetrized state's Hermiticity defect is exactly 0 (NaN for a
+    non-finite entry), so the slack loosens only trace and positivity.
+    """
     out = 0.5 * (out + dagger(out))
-    return DensityMatrix(out, trace_tol=max(TRACE_TOL, slack), psd_tol=max(PSD_TOL, slack))
+    return DensityMatrix._from_stack(out[None], max(STATE_TOL, slack))[0]
 
 
 def completeness_defect(k: KrausSet) -> float:

@@ -93,12 +93,6 @@ def freedom_sweep(dim: int, rank: int, trials: int, seed: int, tol: float):
     if dim < 1 or rank < 1 or trials < 1:
         raise InputError("dim, rank, and trials must all be >= 1")
     per_trial = []
-    max_residual = 0.0
-    min_nontrivial = math.inf
-    noncovariant_compatible = 0
-    nontrivial_mixings = 0
-    degenerate = 0
-
     for i in range(trials):
         k = random_kraus_set(dim, rank, spawn_rng(seed, 0, i))
         f = FrameTransform(random_unitary(dim, spawn_rng(seed, 1, i)))
@@ -114,16 +108,8 @@ def freedom_sweep(dim: int, rank: int, trials: int, seed: int, tol: float):
             distance = covariant_distance(k, lprime, f)
 
         nontrivial = mixing_distance > NONTRIVIAL_MIXING_FLOOR
-        finding = residual <= tol and distance > NONTRIVIAL_MIXING_FLOOR
         trial_degenerate = nontrivial and distance <= NONTRIVIAL_MIXING_FLOOR
-        max_residual = max(max_residual, residual)
-        if nontrivial:
-            nontrivial_mixings += 1
-            min_nontrivial = min(min_nontrivial, distance)
-        if finding:
-            noncovariant_compatible += 1
         if trial_degenerate:
-            degenerate += 1
             LOGGER.info(
                 "trial %d: nontrivial mixing collapsed to distance %.3e",
                 i,
@@ -147,16 +133,23 @@ def freedom_sweep(dim: int, rank: int, trials: int, seed: int, tol: float):
             }
         )
 
+    # left folds from 0.0 and inf, as running ones: a NaN row is skipped
+    max_residual = max([0.0, *(t["residual"] for t in per_trial)])
+    noncovariant_compatible = sum(
+        t["residual"] <= tol and t["covariant_distance"] > NONTRIVIAL_MIXING_FLOOR
+        for t in per_trial
+    )
+    distances = [t["covariant_distance"] for t in per_trial if t["nontrivial_mixing"]]
     payload = {
         "dim": dim,
         "rank": rank,
         "per_trial": per_trial,
         "summary": {
             "max_residual": max_residual,
-            "min_nontrivial_distance": min_nontrivial,
+            "min_nontrivial_distance": min([math.inf, *distances]),
             "noncovariant_compatible": noncovariant_compatible,
-            "nontrivial_mixings": nontrivial_mixings,
-            "degenerate": degenerate,
+            "nontrivial_mixings": len(distances),
+            "degenerate": sum(t["degenerate"] for t in per_trial),
         },
     }
     falsified = max_residual > tol or (rank == 1 and noncovariant_compatible > 0)

@@ -189,7 +189,8 @@ class ScenarioResult:
     (marginal and joint) and the endpoint-state mismatch
     ``|| rho'_f - Lam rho_f Lam^dagger ||_F``. representation_distance is
     the worst per-operator distance of the S' sets from the covariant
-    conjugates, infinite when an override changed the pairing structure.
+    conjugates; an S' set always pairs with them one to one, since
+    :class:`Intervention` refuses a rank mismatch.
     """
 
     dim_a: int
@@ -226,75 +227,74 @@ def embed_local(k: KrausSet, target: Target, dim_a: int, dim_b: int) -> KrausSet
     return _derived_set(k, lambda: ops)
 
 
-def _sprime_set(
-    iv: Intervention, covariant: KrausSet, cfg: ScenarioConfig
-) -> KrausSet:
-    if iv.sprime_kraus is not None:
-        return embed_local(iv.sprime_kraus, iv.target, cfg.dim_a, cfg.dim_b)
-    if iv.mixing is not None:
-        return mix_kraus(covariant, iv.mixing)
-    return covariant
-
-
 def _probabilities(images: np.ndarray) -> list:
     """Traces of a stack of branch images: the branch probabilities."""
     return np.trace(images, axis1=-2, axis2=-1).real.tolist()
 
 
+def _grow(state: np.ndarray, sets) -> tuple:
+    """One frame's account of ``state`` evolving through ``sets`` in turn.
+
+    Returns each set's marginal branch probabilities, the unnormalized
+    leaves in outcome-sequence order, and the final non-selective state.
+    The marginals are the traces of the branch images of the non-selective
+    state (by linearity the true marginals); the images sum to the next.
+    """
+    d = state.shape[0]
+    marginals = []
+    leaves = state[None]
+    for k in sets:
+        images = _kraus_images(k.ops, state)
+        marginals.append(tuple(_probabilities(images)))
+        leaves = _kraus_images(k.ops, leaves).reshape(-1, d, d)
+        state = images.sum(axis=0)
+    return marginals, leaves, state
+
+
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Run both frame accounts and measure their covariant agreement.
 
-    Frame S starts from the initial state; frame S' starts from its
-    covariant transform and evolves through the per-intervention S' sets.
-    Marginal branch probabilities at each intervention are the traces of
-    the branch images of the non-selective state (by linearity these equal
-    the true marginals), and those images sum to the next non-selective
-    state. The leaves of the outcome tree, one stack per frame, give the
-    joint statistics and post-branch states.
+    Frame S grows from the initial state through the embedded sets, frame
+    S' from its covariant transform through the per-intervention S' sets,
+    each by :func:`_grow`; the leaves give the joint statistics and
+    post-branch states.
     """
-    rho = cfg.initial_state.mat
     sigma = transform_state(cfg.initial_state, cfg.frame).mat
-    d = rho.shape[0]
-
-    records = []
-    # the unnormalized leaf states, in outcome-sequence order
-    leaves_s = rho[None]
-    leaves_sp = sigma[None]
+    sets_s, sets_sp = [], []
     representation_distance = 0.0
-
+    n_branches = 1
     for iv in cfg.interventions:
         k_joint = embed_local(iv.kraus, iv.target, cfg.dim_a, cfg.dim_b)
         covariant = conjugate_kraus(k_joint, cfg.frame)
-        l_joint = _sprime_set(iv, covariant, cfg)
-
+        l_joint = covariant
+        if iv.sprime_kraus is not None:
+            l_joint = embed_local(iv.sprime_kraus, iv.target, cfg.dim_a, cfg.dim_b)
+        elif iv.mixing is not None:
+            l_joint = mix_kraus(covariant, iv.mixing)
         representation_distance = max(
             representation_distance, _operator_distance(l_joint, covariant)
         )
-
-        images_s = _kraus_images(k_joint.ops, rho)
-        images_sp = _kraus_images(l_joint.ops, sigma)
-        probs_s = tuple(_probabilities(images_s))
-        probs_sp = tuple(_probabilities(images_sp))
-        defect = max(abs(p - q) for p, q in zip(probs_s, probs_sp))
-        records.append(
-            InterventionRecord(
-                label=iv.label,
-                target=iv.target,
-                probabilities_s=probs_s,
-                probabilities_sprime=probs_sp,
-                probability_defect=defect,
-            )
-        )
-
-        if len(leaves_s) * k_joint.rank > _MAX_BRANCHES:
+        n_branches *= k_joint.rank
+        if n_branches > _MAX_BRANCHES:
             raise ValueError(
                 f"outcome tree exceeds {_MAX_BRANCHES} branches; "
                 "trim the intervention list"
             )
-        leaves_s = _kraus_images(k_joint.ops, leaves_s).reshape(-1, d, d)
-        leaves_sp = _kraus_images(l_joint.ops, leaves_sp).reshape(-1, d, d)
-        rho = images_s.sum(axis=0)
-        sigma = images_sp.sum(axis=0)
+        sets_s.append(k_joint)
+        sets_sp.append(l_joint)
+
+    marginals_s, leaves_s, rho = _grow(cfg.initial_state.mat, sets_s)
+    marginals_sp, leaves_sp, sigma = _grow(sigma, sets_sp)
+    records = tuple(
+        InterventionRecord(
+            label=iv.label,
+            target=iv.target,
+            probabilities_s=probs_s,
+            probabilities_sprime=probs_sp,
+            probability_defect=max(abs(p - q) for p, q in zip(probs_s, probs_sp)),
+        )
+        for iv, probs_s, probs_sp in zip(cfg.interventions, marginals_s, marginals_sp)
+    )
 
     sequences = itertools.product(*(range(iv.kraus.rank) for iv in cfg.interventions))
     # (leaf, frame) probabilities; live leaves are renormalized and validated
@@ -339,7 +339,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(
         dim_a=cfg.dim_a,
         dim_b=cfg.dim_b,
-        interventions=tuple(records),
+        interventions=records,
         branches=branches,
         final_state_s=final_s,
         final_state_sprime=final_sp,

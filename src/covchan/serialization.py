@@ -97,6 +97,14 @@ def _as_real(value, path: str) -> float:
     return value
 
 
+def _checked(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ValueError an InputError naming ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as e:
+        raise InputError(f"{path}: {e}") from e
+
+
 def parse_matrix(obj, path: str) -> np.ndarray:
     """Read a MatrixFile object into a complex array."""
     rows = _as_int(_get(obj, "rows", path), f"{path}.rows", minimum=1)
@@ -148,30 +156,19 @@ def parse_kraus_set(obj, path: str, tol: float = COMPLETENESS_TOL) -> KrausSet:
     tp = obj.get("trace_preserving", True)
     if not isinstance(tp, bool):
         raise InputError(f"{path}.trace_preserving: expected a boolean")
-    try:
-        return KrausSet(
-            ops,
-            trace_preserving=tp,
-            completeness_tol=max(COMPLETENESS_TOL, tol),
-        )
-    except ValueError as e:
-        raise InputError(f"{path}: {e}") from e
+    return _checked(
+        path, KrausSet, ops, trace_preserving=tp,
+        completeness_tol=max(COMPLETENESS_TOL, tol),
+    )
 
 
 def parse_frame(obj, path: str, tol: float = UNITARY_TOL) -> FrameTransform:
     mat = parse_matrix(obj, path)
-    try:
-        return FrameTransform(mat, unitarity_tol=max(UNITARY_TOL, tol))
-    except ValueError as e:
-        raise InputError(f"{path}: {e}") from e
+    return _checked(path, FrameTransform, mat, unitarity_tol=max(UNITARY_TOL, tol))
 
 
 def parse_density(obj, path: str) -> DensityMatrix:
-    mat = parse_matrix(obj, path)
-    try:
-        return DensityMatrix(mat)
-    except ValueError as e:
-        raise InputError(f"{path}: {e}") from e
+    return _checked(path, DensityMatrix, parse_matrix(obj, path))
 
 
 _TARGETS = {t.value: t for t in Target}
@@ -217,39 +214,26 @@ def parse_scenario_config(obj, path: str, default_tol: float) -> ScenarioConfig:
         mixing = None
         if iv_obj.get("mixing") is not None:
             mat = parse_matrix(iv_obj["mixing"], f"{iv_path}.mixing")
-            try:
-                mixing = MixingUnitary(mat, unitarity_tol=max(UNITARY_TOL, tol))
-            except ValueError as e:
-                raise InputError(f"{iv_path}.mixing: {e}") from e
+            mixing = _checked(
+                f"{iv_path}.mixing", MixingUnitary, mat,
+                unitarity_tol=max(UNITARY_TOL, tol),
+            )
         sprime = None
         if iv_obj.get("sprime_kraus") is not None:
             sprime = parse_kraus_set(
                 iv_obj["sprime_kraus"], f"{iv_path}.sprime_kraus", tol
             )
-        try:
-            interventions.append(
-                Intervention(
-                    label=label,
-                    kraus=kraus,
-                    target=_TARGETS[target_str],
-                    mixing=mixing,
-                    sprime_kraus=sprime,
-                )
+        interventions.append(
+            _checked(
+                iv_path, Intervention, label=label, kraus=kraus,
+                target=_TARGETS[target_str], mixing=mixing, sprime_kraus=sprime,
             )
-        except ValueError as e:
-            raise InputError(f"{iv_path}: {e}") from e
-
-    try:
-        return ScenarioConfig(
-            initial_state=initial,
-            dim_a=dim_a,
-            dim_b=dim_b,
-            frame=frame,
-            interventions=tuple(interventions),
-            tol=tol,
         )
-    except ValueError as e:
-        raise InputError(f"{path}: {e}") from e
+
+    return _checked(
+        path, ScenarioConfig, initial_state=initial, dim_a=dim_a, dim_b=dim_b,
+        frame=frame, interventions=tuple(interventions), tol=tol,
+    )
 
 
 _INDENT = "  "
@@ -374,7 +358,11 @@ def dump_report(report, out: str | None) -> None:
     if out is None or out == "-":
         return _stream(report, sys.stdout.write)
     directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as e:
+        # name the destination, not the random temp file
+        raise OSError(e.errno, e.strerror, out) from e
     # mkstemp makes the file 0600; give it the mode open(out, "w") would
     umask = os.umask(0)
     os.umask(umask)

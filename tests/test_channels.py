@@ -6,9 +6,7 @@ import pytest
 
 from covchan.channels import (
     CHANNEL_EQUALITY_TOL,
-    HERMITICITY_TOL,
-    PSD_TOL,
-    TRACE_TOL,
+    STATE_TOL,
     DensityMatrix,
     KrausSet,
     _density_check,
@@ -97,13 +95,13 @@ def _reference_density_error(mat):
     if not np.all(np.isfinite(mat)):
         return "density matrix: entries must be finite"
     herm = frobenius_distance(mat, dagger(mat))
-    if herm > HERMITICITY_TOL:
+    if herm > STATE_TOL:
         return f"density matrix is not Hermitian: defect {herm:.3e}"
     tr = np.trace(mat)
-    if abs(tr - 1.0) > TRACE_TOL:
+    if abs(tr - 1.0) > STATE_TOL:
         return f"density matrix trace {tr:.12g} is not 1"
     lo = float(np.linalg.eigvalsh(mat).min())
-    if lo < -PSD_TOL:
+    if lo < -STATE_TOL:
         return f"density matrix has negative eigenvalue {lo:.3e}"
     return None
 
@@ -150,7 +148,7 @@ class TestDensityStack:
             DensityMatrix(stack[first])
         assert str(single.value) == errors[first]
         with pytest.raises(ValueError) as batched:
-            _density_check(stack, HERMITICITY_TOL, TRACE_TOL, PSD_TOL)
+            _density_check(stack, STATE_TOL)
         assert str(batched.value) == errors[first]
 
     @pytest.mark.parametrize("d", [2, 4, 16])
@@ -178,24 +176,21 @@ class TestDensityStack:
         stack += 1e-7 * np.stack([random_unitary(d, spawn_rng(35, d, i)) for i in range(self.N)])
         herms = [frobenius_distance(mat, dagger(mat)) for mat in stack]
         for i, herm in enumerate(herms):
-            _density_check(stack[i : i + 1], herm, 1.0, 1.0)
+            _density_check(stack[i : i + 1], herm)
             with pytest.raises(ValueError, match="not Hermitian"):
-                _density_check(stack[i : i + 1], np.nextafter(herm, 0.0), 1.0, 1.0)
-        _density_check(stack, max(herms), 1.0, 1.0)
+                _density_check(stack[i : i + 1], np.nextafter(herm, 0.0))
+        _density_check(stack, max(herms))
         with pytest.raises(ValueError, match="not Hermitian"):
-            _density_check(stack, np.nextafter(max(herms), 0.0), 1.0, 1.0)
+            _density_check(stack, np.nextafter(max(herms), 0.0))
 
     def test_checks_in_constructor_order(self):
         # finiteness is named before Hermiticity, Hermiticity before the trace
         mat = _defective(_defective(np.diag([0.6, 0.6]).astype(complex), "herm"), "nan")
         with pytest.raises(ValueError, match="entries must be finite"):
-            _density_check(mat[None], HERMITICITY_TOL, TRACE_TOL, PSD_TOL)
+            _density_check(mat[None], STATE_TOL)
         with pytest.raises(ValueError, match="not Hermitian"):
             _density_check(
-                _defective(np.diag([0.6, 0.6]).astype(complex), "herm")[None],
-                HERMITICITY_TOL,
-                TRACE_TOL,
-                PSD_TOL,
+                _defective(np.diag([0.6, 0.6]).astype(complex), "herm")[None], STATE_TOL
             )
 
     @pytest.mark.parametrize("d", [2, 4, 16])

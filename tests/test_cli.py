@@ -702,6 +702,23 @@ class TestCliPlumbing:
         assert not out.exists()
         capsys.readouterr()
 
+    def test_missing_out_directory_names_the_destination(
+        self, fixtures, capsys, monkeypatch
+    ):
+        # the error names the --out argument, not a random temp file
+        monkeypatch.chdir(fixtures["tmp"])
+        before = sorted(os.listdir())
+        argv = ["freedom-sweep", "--trials", "1", "--out", os.path.join("nodir", "x.json")]
+        errors = []
+        for _ in range(2):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert errors[0] == "error: [Errno 2] No such file or directory: 'nodir/x.json'\n"
+        assert sorted(os.listdir()) == before
+
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_out_file_mode_follows_umask(self, fixtures, umask, mode):
         out = fixtures["tmp"] / "report.json"

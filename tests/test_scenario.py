@@ -263,34 +263,55 @@ class TestRandomScenarios:
                     assert abs(sum(probs) - 1.0) <= 1e-8
 
     def test_commuting_local_interventions_order_insensitive(self):
+        # A then B against B then A, with unequal ranks under a product frame:
+        # marginals, leaf probabilities, leaf states and final states agree
+        # in both frames
         for trial in range(20):
             state = DensityMatrix(random_density(4, spawn_rng(103, trial, 0)))
             ka = random_kraus_set(2, 2, spawn_rng(103, trial, 1))
             kb = random_kraus_set(2, 3, spawn_rng(103, trial, 2))
+            frame = _product_frame(
+                random_unitary(2, spawn_rng(103, trial, 3)),
+                random_unitary(2, spawn_rng(103, trial, 4)),
+            )
             iv_a = Intervention(label="a", kraus=ka, target=Target.SUBSYSTEM_A)
             iv_b = Intervention(label="b", kraus=kb, target=Target.SUBSYSTEM_B)
-            res_ab = run_scenario(
-                ScenarioConfig(
-                    initial_state=state,
-                    dim_a=2,
-                    dim_b=2,
-                    frame=IDENT4,
-                    interventions=(iv_a, iv_b),
+            res_ab, res_ba = (
+                run_scenario(
+                    ScenarioConfig(
+                        initial_state=state,
+                        dim_a=2,
+                        dim_b=2,
+                        frame=frame,
+                        interventions=order,
+                    )
                 )
+                for order in ((iv_a, iv_b), (iv_b, iv_a))
             )
-            res_ba = run_scenario(
-                ScenarioConfig(
-                    initial_state=state,
-                    dim_a=2,
-                    dim_b=2,
-                    frame=IDENT4,
-                    interventions=(iv_b, iv_a),
-                )
-            )
-            probs_ab = {b.sequence: b.probability_s for b in res_ab.branches}
-            probs_ba = {b.sequence: b.probability_s for b in res_ba.branches}
-            for (i, j), p in probs_ab.items():
-                assert abs(p - probs_ba[(j, i)]) <= 1e-10
+            for rec_ab, rec_ba in zip(res_ab.interventions, reversed(res_ba.interventions)):
+                assert rec_ab.label == rec_ba.label
+                for probs_ab, probs_ba in (
+                    (rec_ab.probabilities_s, rec_ba.probabilities_s),
+                    (rec_ab.probabilities_sprime, rec_ba.probabilities_sprime),
+                ):
+                    assert np.allclose(probs_ab, probs_ba, rtol=0.0, atol=1e-12)
+            leaves_ba = {br.sequence[::-1]: br for br in res_ba.branches}
+            assert len(res_ab.branches) == len(leaves_ba) == 6
+            for br in res_ab.branches:
+                other = leaves_ba[br.sequence]
+                assert abs(br.probability_s - other.probability_s) <= 1e-12
+                assert abs(br.probability_sprime - other.probability_sprime) <= 1e-12
+                for a, b in (
+                    (br.state_s, other.state_s),
+                    (br.state_sprime, other.state_sprime),
+                ):
+                    assert frobenius_distance(a.mat, b.mat) <= 1e-12
+            for a, b in (
+                (res_ab.final_state_s, res_ba.final_state_s),
+                (res_ab.final_state_sprime, res_ba.final_state_sprime),
+            ):
+                assert frobenius_distance(a.mat, b.mat) <= 1e-12
+            assert max(res_ab.covariance_defect, res_ba.covariance_defect) <= 1e-12
 
 
 def test_null_branch_reported_as_none():
@@ -376,7 +397,7 @@ def _renormalized(mat, prob):
         return None
     state = mat / prob
     state = 0.5 * (state + dagger(state))
-    return DensityMatrix(state, herm_tol=1e-8, trace_tol=1e-8, psd_tol=1e-8)
+    return DensityMatrix._from_stack(state[None], 1e-8)[0]
 
 
 def _leaf_stacks(cfg):
