@@ -83,51 +83,15 @@ def vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).reshape(-1, order="F")
 
 
-def _density_check(mats: np.ndarray, tol: float) -> None:
-    """Validate an ``(n, d, d)`` complex stack, ``n >= 1``, as density matrices.
-
-    Each matrix must be finite, Hermitian, of unit trace and positive
-    semidefinite, within ``tol`` and checked in that order; the first
-    failing matrix raises the error that constructing it alone would. The
-    Hermiticity defect is summed with the dot products of
-    :func:`frobenius_distance`, so it is the same float, and it needs no
-    complex temporary of the stack's size.
-    """
-    n = len(mats)
-    diff = (mats - mats.conj().swapaxes(-1, -2)).reshape(n, 1, -1)
-    re, im = diff.real, diff.imag
-    herm = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).reshape(n)
-    tr = mats.trace(axis1=-2, axis2=-1)
-    # a non-finite entry makes the Hermiticity defect NaN or inf, so only
-    # matrices before the first failure here reach the eigensolver
-    bad = ~(herm <= tol) | (abs(tr - 1.0) > tol)
-    cut = int(bad.argmax())
-    if not bad[cut]:
-        cut = n
-    if cut:
-        # eigenvalues come in ascending order
-        lo = np.linalg.eigvalsh(mats[:cut])[:, 0]
-        neg = lo < -tol
-        i = int(neg.argmax())
-        if neg[i]:
-            raise ValueError(f"density matrix has negative eigenvalue {float(lo[i]):.3e}")
-    if cut == n:
-        return
-    if not np.isfinite(mats[cut]).all():
-        raise ValueError("density matrix: entries must be finite")
-    if herm[cut] > tol:
-        raise ValueError(f"density matrix is not Hermitian: defect {herm[cut]:.3e}")
-    raise ValueError(f"density matrix trace {tr[cut]:.12g} is not 1")
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace complex matrix.
 
-    The constructor checks at ``STATE_TOL``. States the library derives
-    (channel outputs, frame transforms, scenario leaves) carry more
-    floating dust, so they are checked through :meth:`_from_stack` with a
-    slack for their inputs' defects instead.
+    States are checked where they enter: the constructor checks that the
+    matrix is finite, Hermitian, of unit trace and positive semidefinite,
+    within ``STATE_TOL`` and in that order. States the library derives
+    (channel outputs, frame transforms, scenario leaves) are wrapped by
+    :meth:`_from_stack` and reported as computed.
     """
 
     mat: np.ndarray
@@ -136,17 +100,25 @@ class DensityMatrix:
         mat = as_cmatrix(self.mat, name="density matrix")
         if mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-        _density_check(mat[None], STATE_TOL)
+        herm = frobenius_distance(mat, dagger(mat))
+        if herm > STATE_TOL:
+            raise ValueError(f"density matrix is not Hermitian: defect {herm:.3e}")
+        tr = np.trace(mat)
+        if abs(tr - 1.0) > STATE_TOL:
+            raise ValueError(f"density matrix trace {tr:.12g} is not 1")
+        # eigenvalues come in ascending order
+        lo = float(np.linalg.eigvalsh(mat)[0])
+        if lo < -STATE_TOL:
+            raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
         object.__setattr__(self, "mat", mat)
 
     @classmethod
-    def _from_stack(cls, mats: np.ndarray, tol: float) -> list:
-        """Validate an ``(n, d, d)`` complex stack at slack ``tol`` in one pass.
+    def _from_stack(cls, mats: np.ndarray) -> list:
+        """One state per matrix of a derived ``(n, d, d)`` stack, unchecked.
 
-        Returns one state per matrix, each holding a read-only view of the
-        stack; the constructor's per-matrix work is skipped.
+        Each state holds a read-only view of the stack. Its inputs were
+        checked where they entered, so nothing is checked again.
         """
-        _density_check(mats, tol)
         mats.setflags(write=False)
         return [_trusted(cls, mat=mat) for mat in mats]
 
@@ -236,9 +208,8 @@ def apply_kraus(ops, mat: np.ndarray) -> np.ndarray:
 def apply_channel(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
     """Evolve a state through a trace-preserving channel.
 
-    Validation slack on the output scales with the set's completeness
-    defect: a defect of eps can move the trace by about eps, which is
-    legitimately above the constructor's default tolerance.
+    The output is symmetrized and reported as computed; a set that entered
+    with completeness defect eps leaves its trace off by about eps.
     """
     if not k.trace_preserving:
         raise ValueError(
@@ -247,17 +218,12 @@ def apply_channel(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
         )
     if k.dim != rho.dim:
         raise ValueError(f"dimension mismatch: channel {k.dim} vs state {rho.dim}")
-    return _output_state(apply_kraus(k.ops, rho.mat), 2.0 * completeness_defect(k))
+    return _output_state(apply_kraus(k.ops, rho.mat))
 
 
-def _output_state(out: np.ndarray, slack: float) -> DensityMatrix:
-    """Symmetrize an evolved state and validate it with ``slack``.
-
-    The symmetrized state's Hermiticity defect is exactly 0 (NaN for a
-    non-finite entry), so the slack loosens only trace and positivity.
-    """
-    out = 0.5 * (out + dagger(out))
-    return DensityMatrix._from_stack(out[None], max(STATE_TOL, slack))[0]
+def _output_state(out: np.ndarray) -> DensityMatrix:
+    """An evolved state, symmetrized and wrapped without a check."""
+    return DensityMatrix._from_stack(0.5 * (out + dagger(out))[None])[0]
 
 
 def completeness_defect(k: KrausSet) -> float:

@@ -157,8 +157,7 @@ def transform_state(rho: DensityMatrix, f: FrameTransform) -> DensityMatrix:
     """Covariant state map ``rho -> Lam rho Lam^dagger``; spectrum-preserving."""
     if rho.dim != f.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim} vs frame {f.dim}")
-    out = _kraus_images([f.mat], rho.mat)[0]
-    return _output_state(out, 2.0 * unitarity_defect(f.mat))
+    return _output_state(_kraus_images([f.mat], rho.mat)[0])
 
 
 def conjugate_kraus(k: KrausSet, f: FrameTransform) -> KrausSet:
@@ -346,7 +345,7 @@ def n1_uniqueness_check(k1, l1, tol: float = CHANNEL_EQUALITY_TOL) -> N1CheckRes
     images_l = _kraus_images([l1], rhos)[:, 0]
     dists = [frobenius_distance(a, b) for a, b in zip(images_k, images_l)]
     best = int(np.argmax(dists))  # the first of equal maxima
-    witness = DensityMatrix(0.5 * (rhos[best] + dagger(rhos[best])))
+    witness = _output_state(rhos[best])
     return N1CheckResult(
         verdict=PhaseEquivalence.DIFFERENT,
         distance=distance,

@@ -23,7 +23,6 @@ import numpy as np
 
 from .channels import (
     CHANNEL_EQUALITY_TOL,
-    COMPLETENESS_TOL,
     DensityMatrix,
     KrausSet,
     _derived_set,
@@ -59,10 +58,6 @@ NULL_BRANCH_PROB = 1e-12
 
 _MAX_BRANCHES = 65536
 
-# Least slack for leaf and final states: cancellation in low-probability
-# branches leaves more dust than the default constructor tolerances admit.
-_STATE_SLACK = 1e-8
-
 
 class Target(enum.Enum):
     """Which tensor factor an intervention acts on."""
@@ -77,11 +72,11 @@ class Intervention:
     """One measurement step: each Kraus operator is one outcome branch.
 
     The set as a whole must be trace-preserving (the branches partition
-    completeness). The frame-S' account uses the covariant conjugation by
-    default; ``mixing`` swaps in a mixed member of the compatible family,
-    and ``sprime_kraus`` overrides the S' operators outright (same local
-    space as ``kraus``), which is how deliberately incompatible choices
-    are injected.
+    completeness), and so must ``sprime_kraus``. The frame-S' account uses
+    the covariant conjugation by default; ``mixing`` swaps in a mixed
+    member of the compatible family, and ``sprime_kraus`` overrides the S'
+    operators outright (same local space as ``kraus``), which is how
+    deliberately incompatible choices are injected.
     """
 
     label: str
@@ -91,11 +86,13 @@ class Intervention:
     sprime_kraus: KrausSet | None = None
 
     def __post_init__(self):
-        if not self.kraus.trace_preserving:
-            raise ValueError(
-                f"intervention {self.label!r}: branches must jointly form a "
-                "trace-preserving set"
-            )
+        sets = (("branches", self.kraus), ("frame-S' branches", self.sprime_kraus))
+        for what, k in sets:
+            if k is not None and not k.trace_preserving:
+                raise ValueError(
+                    f"intervention {self.label!r}: {what} must jointly form a "
+                    "trace-preserving set"
+                )
         if self.mixing is not None and self.sprime_kraus is not None:
             raise ValueError(
                 f"intervention {self.label!r}: give a mixing unitary or an "
@@ -297,7 +294,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     )
 
     sequences = itertools.product(*(range(iv.kraus.rank) for iv in cfg.interventions))
-    # (leaf, frame) probabilities; live leaves are renormalized and validated
+    # (leaf, frame) probabilities; live leaves are renormalized and wrapped
     # with both final states as one stack, in the order the branches list them
     probs = np.stack([_probabilities(leaves_s), _probabilities(leaves_sp)], axis=1)
     live = ~(probs <= NULL_BRANCH_PROB)
@@ -305,14 +302,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     states /= probs[live][:, None, None]
     states += states.conj().swapaxes(-1, -2)
     states *= 0.5
-    # Sets, frames and mixings entered at t = max(tol, COMPLETENESS_TOL), and
-    # each one applied scales a trace by at most 1 + t: the initial frame,
-    # then per intervention the set, the frame on either side of it and a
-    # mixing, so the final traces are within (1 + t)^(1 + 4n) - 1 of 1.
-    t = max(cfg.tol, COMPLETENESS_TOL)
-    slack = max(_STATE_SLACK, (1 + t) ** (1 + 4 * len(cfg.interventions)) - 1)
     *leaf_states, final_s, final_sp = DensityMatrix._from_stack(
-        np.concatenate([states, rho[None], sigma[None]]), slack
+        np.concatenate([states, rho[None], sigma[None]])
     )
     leaf_states = iter(leaf_states)
     branches = tuple(

@@ -370,7 +370,10 @@ def dump_report(report, out: str | None) -> None:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~umask)
             _stream(report, fh.write)
-        os.replace(tmp_path, out)
+        try:
+            os.replace(tmp_path, out)
+        except OSError as e:
+            raise OSError(e.errno, e.strerror, out) from e
     except BaseException:
         try:
             os.unlink(tmp_path)

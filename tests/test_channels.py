@@ -9,7 +9,6 @@ from covchan.channels import (
     STATE_TOL,
     DensityMatrix,
     KrausSet,
-    _density_check,
     _kraus_images,
     apply_channel,
     apply_kraus,
@@ -133,23 +132,25 @@ DEFECT_WORDS = {
 
 
 class TestDensityStack:
-    """One check over an ``(n, d, d)`` stack, as the scenario leaves use it."""
+    """Entry checks, one constructor call per matrix of a stack, against the
+    per-matrix reference; and the unchecked views of a derived stack."""
 
     N = 6
 
     def _stack(self, d, seed):
         return np.stack([random_density(d, spawn_rng(seed, d, i)) for i in range(self.N)])
 
-    def _expect_first_error(self, stack, word):
+    def _expect_reference_errors(self, stack):
+        """Each matrix's constructor error is the reference's; returns them."""
         errors = [_reference_density_error(m) for m in stack]
-        first = next(i for i, e in enumerate(errors) if e is not None)
-        assert word in errors[first]
-        with pytest.raises(ValueError) as single:
-            DensityMatrix(stack[first])
-        assert str(single.value) == errors[first]
-        with pytest.raises(ValueError) as batched:
-            _density_check(stack, STATE_TOL)
-        assert str(batched.value) == errors[first]
+        for mat, error in zip(stack, errors):
+            if error is None:
+                DensityMatrix(mat)
+                continue
+            with pytest.raises(ValueError) as single:
+                DensityMatrix(mat)
+            assert str(single.value) == error
+        return errors
 
     @pytest.mark.parametrize("d", [2, 4, 16])
     @pytest.mark.parametrize("kind", DEFECTS)
@@ -157,46 +158,54 @@ class TestDensityStack:
     def test_one_defect(self, d, kind, index):
         stack = self._stack(d, 31)
         stack[index] = _defective(stack[index], kind)
-        self._expect_first_error(stack, DEFECT_WORDS[kind])
+        errors = self._expect_reference_errors(stack)
+        assert DEFECT_WORDS[kind] in errors[index]
+        assert errors.count(None) == self.N - 1
 
     @pytest.mark.parametrize("d", [2, 4, 16])
     @pytest.mark.parametrize("first,second", itertools.product(DEFECTS, repeat=2))
     def test_two_defects_report_the_first(self, d, first, second):
-        # the later defect is the larger one, so its message would differ
+        # one matrix with two defects is named by the first check it fails;
+        # a NaN goes in last, since the negative defect needs an eigensolve
+        order = ("nan", "herm", "trace", "negative")
         stack = self._stack(d, 32)
-        stack[1] = _defective(stack[1], first)
-        stack[4] = _defective(stack[4], second, size=5)
-        self._expect_first_error(stack, DEFECT_WORDS[first])
+        for kind, size in sorted([(first, 1), (second, 5)], key=lambda ks: ks[0] == "nan"):
+            stack[1] = _defective(stack[1], kind, size)
+        errors = self._expect_reference_errors(stack)
+        assert DEFECT_WORDS[min(first, second, key=order.index)] in errors[1]
 
     @pytest.mark.parametrize("d", [2, 4, 16])
     def test_hermiticity_defect_is_the_frobenius_distance(self, d):
-        # the defect is bitwise frobenius_distance(m, m^dagger): a tolerance
-        # equal to it passes and the next float below it fails
-        stack = self._stack(d, 35)
-        stack += 1e-7 * np.stack([random_unitary(d, spawn_rng(35, d, i)) for i in range(self.N)])
-        herms = [frobenius_distance(mat, dagger(mat)) for mat in stack]
-        for i, herm in enumerate(herms):
-            _density_check(stack[i : i + 1], herm)
-            with pytest.raises(ValueError, match="not Hermitian"):
-                _density_check(stack[i : i + 1], np.nextafter(herm, 0.0))
-        _density_check(stack, max(herms))
-        with pytest.raises(ValueError, match="not Hermitian"):
-            _density_check(stack, np.nextafter(max(herms), 0.0))
+        # a defect of ||m - m^dagger||_F just over STATE_TOL is named as that
+        # distance, and one just under passes; the diagonal, and so the
+        # trace, stays exactly as it was
+        for i, mat in enumerate(self._stack(d, 35)):
+            mat = 0.5 * (mat + dagger(mat))
+            kick = random_unitary(d, spawn_rng(35, d, i)).copy()
+            np.fill_diagonal(kick, 0.0)
+            unit = STATE_TOL / frobenius_distance(kick, dagger(kick))
+            over = mat + (1 + 1e-6) * unit * kick
+            herm = frobenius_distance(over, dagger(over))
+            assert herm > STATE_TOL
+            with pytest.raises(ValueError) as single:
+                DensityMatrix(over)
+            assert str(single.value) == f"density matrix is not Hermitian: defect {herm:.3e}"
+            under = mat + (1 - 1e-6) * unit * kick
+            assert frobenius_distance(under, dagger(under)) <= STATE_TOL
+            DensityMatrix(under)
 
     def test_checks_in_constructor_order(self):
         # finiteness is named before Hermiticity, Hermiticity before the trace
         mat = _defective(_defective(np.diag([0.6, 0.6]).astype(complex), "herm"), "nan")
         with pytest.raises(ValueError, match="entries must be finite"):
-            _density_check(mat[None], STATE_TOL)
+            DensityMatrix(mat)
         with pytest.raises(ValueError, match="not Hermitian"):
-            _density_check(
-                _defective(np.diag([0.6, 0.6]).astype(complex), "herm")[None], STATE_TOL
-            )
+            DensityMatrix(_defective(np.diag([0.6, 0.6]).astype(complex), "herm"))
 
     @pytest.mark.parametrize("d", [2, 4, 16])
     def test_clean_stack_gives_read_only_views(self, d):
         stack = self._stack(d, 33)
-        states = DensityMatrix._from_stack(stack, 1e-8)
+        states = DensityMatrix._from_stack(stack)
         assert len(states) == self.N
         for mat, state in zip(stack, states):
             assert isinstance(state, DensityMatrix)
@@ -207,12 +216,15 @@ class TestDensityStack:
         with pytest.raises(ValueError):
             states[0].mat[0, 0] = 0.5
 
-    def test_stack_slack(self):
+    def test_derived_stack_is_not_checked(self):
+        # derived states are reported as computed, whatever their defects
         stack = self._stack(4, 34)
-        stack[2] *= 1 + 1e-9
-        DensityMatrix._from_stack(stack.copy(), 1e-8)
-        with pytest.raises(ValueError, match="trace"):
-            DensityMatrix._from_stack(stack, 1e-10)
+        for i, kind in enumerate(DEFECTS):
+            stack[i] = _defective(stack[i], kind)
+        want = stack.copy()
+        states = DensityMatrix._from_stack(stack)
+        for mat, state in zip(want, states):
+            np.testing.assert_array_equal(state.mat, mat)
 
 
 class TestKrausSet:

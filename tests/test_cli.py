@@ -449,6 +449,56 @@ class TestScenarioCommand:
         assert results["verdict"] == "INCOMPATIBLE"
         assert results["probability_defect"] == pytest.approx(c2**33 - 1, rel=1e-3)
 
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_non_trace_preserving_sprime_set_exit_one(self, fixtures, capsys, scale):
+        cfg = json.loads((fixtures["tmp"] / "scenario.json").read_text())
+        proj = [np.diag([1, 0]).astype(complex), np.diag([0, scale]).astype(complex)]
+        cfg["interventions"][0]["sprime_kraus"] = dict(_kraus_obj(proj), trace_preserving=False)
+        path = _write(fixtures["tmp"], "sprime.json", cfg)
+        assert main(["scenario", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}.interventions[0]: intervention 'z-meas': frame-S' "
+            "branches must jointly form a trace-preserving set\n"
+        )
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    @pytest.mark.parametrize("p", [1.5e-12, 1.5e-11, 1.5e-10, 1.5e-9])
+    def test_weak_measurement_exit_zero(self, fixtures, capsys, d, p):
+        # a branch of probability p renormalizes with rounding of order
+        # eps / p; its leaf is reported as the library computes it
+        for trial in range(10):
+            u = random_unitary(d, spawn_rng(11, d, trial))
+            ops = [(u * [np.sqrt(q), *[S2] * (d - 1)]) @ u.conj().T for q in (p, 1 - p)]
+            cfg = {
+                "dim_a": d,
+                "dim_b": 1,
+                "initial_state": matrix_to_obj(np.outer(u[:, 0], u[:, 0].conj())),
+                "frame": matrix_to_obj(np.eye(d)),
+                "interventions": [{"label": "weak", "target": "JOINT", "kraus": _kraus_obj(ops)}],
+            }
+            path = _write(fixtures["tmp"], "weak.json", cfg)
+            code = main(["scenario", path])
+            captured = capsys.readouterr()
+            assert code == 0, captured.err
+            results = json.loads(captured.out)["results"]
+            assert results["verdict"] == "COVARIANT"
+            want = run_scenario(parse_scenario_config(load_json(path), path, 1e-9))
+            for got, br in zip(results["branches"], want.branches):
+                for frame in ("state_s", "state_sprime"):
+                    state = parse_matrix(got[frame], frame)
+                    assert np.array_equal(state, getattr(br, frame).mat)
+
+    def test_huge_tol_runs(self, fixtures, capsys):
+        # any positive finite tol is accepted, however large
+        cfg = json.loads((fixtures["tmp"] / "scenario.json").read_text())
+        cfg["tol"] = 1e100
+        code = main(["scenario", _write(fixtures["tmp"], "huge.json", cfg)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert json.loads(captured.out)["results"]["verdict"] == "COVARIANT"
+
     def test_malformed_config_exit_one(self, fixtures, capsys):
         bad = _write(fixtures["tmp"], "cfg_bad.json", {"dim_a": 2})
         code = main(["scenario", bad])
@@ -702,13 +752,10 @@ class TestCliPlumbing:
         assert not out.exists()
         capsys.readouterr()
 
-    def test_missing_out_directory_names_the_destination(
-        self, fixtures, capsys, monkeypatch
-    ):
-        # the error names the --out argument, not a random temp file
-        monkeypatch.chdir(fixtures["tmp"])
-        before = sorted(os.listdir())
-        argv = ["freedom-sweep", "--trials", "1", "--out", os.path.join("nodir", "x.json")]
+    @staticmethod
+    def _failed_twice(out, capsys):
+        """stderr of two ``freedom-sweep --out out`` runs, which both exit 1."""
+        argv = ["freedom-sweep", "--trials", "1", "--out", out]
         errors = []
         for _ in range(2):
             assert main(argv) == 1
@@ -716,8 +763,28 @@ class TestCliPlumbing:
             assert captured.out == ""
             errors.append(captured.err)
         assert errors[0] == errors[1]
-        assert errors[0] == "error: [Errno 2] No such file or directory: 'nodir/x.json'\n"
+        return errors[0]
+
+    def test_missing_out_directory_names_the_destination(
+        self, fixtures, capsys, monkeypatch
+    ):
+        # the error names the --out argument, not a random temp file
+        monkeypatch.chdir(fixtures["tmp"])
+        before = sorted(os.listdir())
+        err = self._failed_twice(os.path.join("nodir", "x.json"), capsys)
+        assert err == "error: [Errno 2] No such file or directory: 'nodir/x.json'\n"
         assert sorted(os.listdir()) == before
+
+    def test_out_directory_names_the_destination(self, fixtures, capsys, monkeypatch):
+        # renaming the finished report over a directory fails; the error
+        # names the --out argument, and the temp file is removed
+        monkeypatch.chdir(fixtures["tmp"])
+        os.mkdir("d")
+        before = sorted(os.listdir())
+        err = self._failed_twice("d", capsys)
+        assert err == "error: [Errno 21] Is a directory: 'd'\n"
+        assert sorted(os.listdir()) == before
+        assert os.listdir("d") == []
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_out_file_mode_follows_umask(self, fixtures, umask, mode):
