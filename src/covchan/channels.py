@@ -30,10 +30,11 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .linalg import (
+    _frobenius_norms,
+    _haar_unitaries,
     as_cmatrix,
     dagger,
     frobenius_distance,
-    random_unitary,
 )
 
 __all__ = [
@@ -167,12 +168,7 @@ class KrausSet:
                 )
         object.__setattr__(self, "ops", ops)
         if self.trace_preserving:
-            defect = completeness_defect(self)
-            if defect > completeness_tol:
-                raise ValueError(
-                    f"completeness defect {defect:.3e} exceeds "
-                    f"{completeness_tol:.1e}; sum of K^dagger K is not the identity"
-                )
+            _check_completeness(np.asarray(ops)[None], completeness_tol)
 
     @property
     def dim(self) -> int:
@@ -228,9 +224,23 @@ def _output_state(out: np.ndarray) -> DensityMatrix:
 
 def completeness_defect(k: KrausSet) -> float:
     """``|| sum_A K_A^dagger K_A - I ||_F``; zero iff trace-preserving."""
-    ops = np.asarray(k.ops)
-    acc = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0)
-    return frobenius_distance(acc, np.eye(k.dim))
+    return _completeness_defects(np.asarray(k.ops)[None])[0]
+
+
+def _completeness_defects(ops: np.ndarray) -> list:
+    """The completeness defect of each set of an ``(n, N, d, d)`` stack."""
+    acc = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=-3)
+    return _frobenius_norms(acc - np.eye(ops.shape[-1]))
+
+
+def _check_completeness(ops: np.ndarray, tol: float) -> None:
+    """``KrausSet``'s completeness gate on each set of an ``(n, N, d, d)`` stack."""
+    for defect in _completeness_defects(ops):
+        if defect > tol:
+            raise ValueError(
+                f"completeness defect {defect:.3e} exceeds "
+                f"{tol:.1e}; sum of K^dagger K is not the identity"
+            )
 
 
 def _derived_set(k: KrausSet, compute) -> KrausSet:
@@ -275,10 +285,20 @@ def _factored_choi(k: KrausSet, l: KrausSet):
     if k.dim != l.dim:
         raise ValueError(f"dimension mismatch: {k.dim} vs {l.dim}")
     w = np.stack([vec(op) for op in k.ops + l.ops], axis=1)
+    distances, r = _factored_chois(w[None], k.rank)
+    return distances[0], r[0]
+
+
+def _factored_chois(w: np.ndarray, n_k: int):
+    """:func:`_factored_choi` for each W of an ``(n, d^2, N + M)`` stack.
+
+    The first ``n_k`` columns of each W are the K vecs; one stacked QR
+    gives the stack of R.
+    """
     r = np.linalg.qr(w, mode="r")
-    signs = np.ones(r.shape[1])
-    signs[k.rank :] = -1.0
-    return float(np.linalg.norm((r * signs) @ dagger(r))), r
+    signs = np.ones(w.shape[-1])
+    signs[n_k:] = -1.0
+    return _frobenius_norms((r * signs) @ r.conj().swapaxes(-1, -2)), r
 
 
 def choi_distance(k: KrausSet, l: KrausSet) -> float:
@@ -331,6 +351,17 @@ def random_kraus_set(dim: int, rank: int, seed) -> KrausSet:
     """
     if dim < 1 or rank < 1:
         raise ValueError("dim and rank must be >= 1")
-    u = random_unitary(rank * dim, seed)
-    ops = [u[a * dim : (a + 1) * dim, :dim] for a in range(rank)]
-    return KrausSet(ops)
+    ops = _readonly(_random_kraus_ops(dim, rank, [seed])[0])
+    return _trusted(KrausSet, ops=tuple(ops), trace_preserving=True)
+
+
+def _random_kraus_ops(dim: int, rank: int, seeds) -> np.ndarray:
+    """The operators of :func:`random_kraus_set` per seed, ``(n, rank, dim, dim)``.
+
+    Every set passes ``KrausSet``'s completeness gate here, so callers wrap
+    the operators without checking them again.
+    """
+    u = _haar_unitaries(rank * dim, seeds)
+    ops = np.ascontiguousarray(u[:, :, :dim].reshape(len(seeds), rank, dim, dim))
+    _check_completeness(ops, COMPLETENESS_TOL)
+    return ops

@@ -17,21 +17,17 @@ import os
 import sys
 
 from . import __version__
-from .channels import CHANNEL_EQUALITY_TOL, random_kraus_set
+from .channels import CHANNEL_EQUALITY_TOL, _random_kraus_ops
 from .covariance import (
     FrameTransform,
     MixingUnitary,
     Verdict,
+    _mixed_solution_trials,
+    _random_unitaries,
     analyze,
-    compatibility_residual,
-    conjugate_kraus,
-    covariant_distance,
-    make_noncovariant_solution,
     n1_covariance_search,
-    phase_aligned_distance,
-    phase_permutation_distance,
 )
-from .linalg import random_unitary, spawn_rng
+from .linalg import _blocks, spawn_rng
 from .scenario import run_scenario
 from .serialization import (
     InputError,
@@ -89,49 +85,54 @@ def freedom_sweep(dim: int, rank: int, trials: int, seed: int, tol: float):
     trial falsifies the implementation when the mixed set fails
     compatibility, or, at rank 1, when a compatible candidate sits far
     from the covariant solution.
+
+    Trials run in bounded blocks: each block's sets, frames and mixings
+    are drawn, checked and combined as stacked arrays no larger than a
+    fixed byte budget, set by ``dim`` and ``rank``. Streams are still keyed
+    per trial, and each row is bitwise the one that composing the public
+    functions for that trial gives, so the report does not depend on the
+    blocking.
     """
     if dim < 1 or rank < 1 or trials < 1:
         raise InputError("dim, rank, and trials must all be >= 1")
     per_trial = []
-    for i in range(trials):
-        k = random_kraus_set(dim, rank, spawn_rng(seed, 0, i))
-        f = FrameTransform(random_unitary(dim, spawn_rng(seed, 1, i)))
-        v = MixingUnitary(random_unitary(rank, spawn_rng(seed, 2, i)))
-        lprime = make_noncovariant_solution(k, f, v)
-        residual = compatibility_residual(k, lprime, f)
-        mixing_distance = phase_permutation_distance(v)
-        if rank == 1:
-            distance, _ = phase_aligned_distance(
-                conjugate_kraus(k, f).ops[0], lprime.ops[0]
-            )
-        else:
-            distance = covariant_distance(k, lprime, f)
-
-        nontrivial = mixing_distance > NONTRIVIAL_MIXING_FLOOR
-        trial_degenerate = nontrivial and distance <= NONTRIVIAL_MIXING_FLOOR
-        if trial_degenerate:
-            LOGGER.info(
-                "trial %d: nontrivial mixing collapsed to distance %.3e",
+    # the largest stacks: the rank*dim square samples behind the sets, and
+    # the d^2 x 2 rank vecs of the factored Choi distance
+    for block in _blocks(trials, 16 * dim * dim * rank * max(rank, 2)):
+        k = _random_kraus_ops(dim, rank, [spawn_rng(seed, 0, i) for i in block])
+        f = _random_unitaries(
+            FrameTransform, dim, [spawn_rng(seed, 1, i) for i in block]
+        )
+        v = _random_unitaries(
+            MixingUnitary, rank, [spawn_rng(seed, 2, i) for i in block]
+        )
+        rows = _mixed_solution_trials(k, f, v)
+        for i, (residual, distance, mixing_distance) in zip(block, rows):
+            nontrivial = mixing_distance > NONTRIVIAL_MIXING_FLOOR
+            trial_degenerate = nontrivial and distance <= NONTRIVIAL_MIXING_FLOOR
+            if trial_degenerate:
+                LOGGER.info(
+                    "trial %d: nontrivial mixing collapsed to distance %.3e",
+                    i,
+                    distance,
+                )
+            LOGGER.debug(
+                "trial %d: residual %.3e distance %.3e mixing %.3e",
                 i,
+                residual,
                 distance,
+                mixing_distance,
             )
-        LOGGER.debug(
-            "trial %d: residual %.3e distance %.3e mixing %.3e",
-            i,
-            residual,
-            distance,
-            mixing_distance,
-        )
-        per_trial.append(
-            {
-                "trial": i,
-                "residual": residual,
-                "covariant_distance": distance,
-                "mixing_distance": mixing_distance,
-                "nontrivial_mixing": nontrivial,
-                "degenerate": trial_degenerate,
-            }
-        )
+            per_trial.append(
+                {
+                    "trial": i,
+                    "residual": residual,
+                    "covariant_distance": distance,
+                    "mixing_distance": mixing_distance,
+                    "nontrivial_mixing": nontrivial,
+                    "degenerate": trial_degenerate,
+                }
+            )
 
     # left folds from 0.0 and inf, as running ones: a NaN row is skipped
     max_residual = max([0.0, *(t["residual"] for t in per_trial)])

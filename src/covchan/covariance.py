@@ -28,6 +28,7 @@ from .channels import (
     KrausSet,
     _derived_set,
     _factored_choi,
+    _factored_chois,
     _kraus_images,
     _output_state,
     _readonly,
@@ -35,10 +36,13 @@ from .channels import (
     choi_distance,
 )
 from .linalg import (
+    _blocks,
+    _frobenius_norms,
+    _haar_unitaries,
+    _unitarity_defects,
     as_cmatrix,
     dagger,
     frobenius_distance,
-    random_unitary,
     spawn_rng,
     unitarity_defect,
 )
@@ -94,10 +98,15 @@ class _Unitary:
         mat = as_cmatrix(self.mat, name=self._name)
         if mat.shape[0] != mat.shape[1]:
             raise ValueError(f"{self._name} must be square, got {mat.shape}")
-        defect = unitarity_defect(mat)
-        if defect > unitarity_tol:
-            raise ValueError(f"{self._name} is not unitary: defect {defect:.3e}")
+        _check_unitary(mat[None], self._name, unitarity_tol)
         object.__setattr__(self, "mat", mat)
+
+
+def _check_unitary(mats: np.ndarray, name: str, tol: float) -> None:
+    """The unitarity gate of ``_Unitary`` on each matrix of an ``(n, d, d)`` stack."""
+    for defect in _unitarity_defects(mats):
+        if defect > tol:
+            raise ValueError(f"{name} is not unitary: defect {defect:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,6 +133,13 @@ class MixingUnitary(_Unitary):
     @property
     def rank(self) -> int:
         return self.mat.shape[0]
+
+
+def _random_unitaries(cls, d: int, seeds) -> np.ndarray:
+    """``cls(random_unitary(d, seed)).mat`` for each seed, as one stack."""
+    u = _haar_unitaries(d, seeds)
+    _check_unitary(u, cls._name, UNITARY_TOL)
+    return u
 
 
 class Verdict(enum.Enum):
@@ -195,7 +211,12 @@ def mix_kraus(k: KrausSet, v: MixingUnitary) -> KrausSet:
     """
     if v.rank != k.rank:
         raise ValueError(f"rank mismatch: mixing {v.rank} vs set {k.rank}")
-    return _derived_set(k, lambda: np.einsum("ab,bij->aij", v.mat, k.ops))
+    return _derived_set(k, lambda: _mix(v.mat, np.asarray(k.ops)))
+
+
+def _mix(v: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """``sum_B V_AB K_B`` for one mixing and set, or a stack of them."""
+    return np.einsum("...ab,...bij->...aij", v, ops)
 
 
 def make_noncovariant_solution(
@@ -209,6 +230,41 @@ def make_noncovariant_solution(
     the operators are linearly independent.
     """
     return mix_kraus(conjugate_kraus(k, f), v)
+
+
+def _mixed_solution_trials(k: np.ndarray, f: np.ndarray, v: np.ndarray) -> list:
+    """Residual, covariant and mixing distance of the mixed solution, per trial.
+
+    ``k``, ``f`` and ``v`` are checked stacks of sets ``(n, N, d, d)``,
+    frames ``(n, d, d)`` and mixings ``(n, N, N)``. Trial t takes the steps
+    of :func:`make_noncovariant_solution`, :func:`compatibility_residual`
+    and :func:`covariant_distance` (:func:`phase_aligned_distance` at rank
+    1) on ``(k[t], f[t], v[t])`` as the same operations with a leading
+    trial axis, so its values are bitwise theirs, as is its
+    :func:`phase_permutation_distance`. Products of unitary blocks cannot
+    overflow, so no finiteness check is needed.
+    """
+    n, rank, d, _ = k.shape
+    covariant = _kraus_images(f[:, None, None], k)[:, :, 0]
+    lprime = _mix(v, covariant)
+    # as FrameTransform.inverse() stores it: a contiguous copy of F^dagger
+    f_inv = np.ascontiguousarray(f.conj().swapaxes(-1, -2))
+    pulled = _kraus_images(f_inv[:, None, None], lprime)[:, :, 0]
+    # each trial's W: the column-stacking vecs of its set, then the pulled-back
+    w = np.concatenate([k, pulled], axis=1).transpose(0, 3, 2, 1)
+    chois, _ = _factored_chois(w.reshape(n, d * d, 2 * rank), rank)
+    # choi_distance's shortcut: bitwise-equal sets are exactly 0.0 apart
+    same = (k == pulled).all(axis=(1, 2, 3)).tolist()
+    residuals = [0.0 if eq else x for eq, x in zip(same, chois)]
+    if rank == 1:
+        distances = [
+            phase_aligned_distance(c[0], l[0])[0] for c, l in zip(covariant, lprime)
+        ]
+    else:
+        norms = _frobenius_norms((lprime - covariant).reshape(n * rank, d, d))
+        distances = [max(norms[t * rank : (t + 1) * rank]) for t in range(n)]
+    mixing = [_assignment_distance(row) for row in np.abs(v).tolist()]
+    return list(zip(residuals, distances, mixing))
 
 
 def covariant_distance(k: KrausSet, lprime: KrausSet, f: FrameTransform) -> float:
@@ -283,7 +339,11 @@ def phase_aligned_distance(k1: np.ndarray, l1: np.ndarray):
     The optimum is the phase of ``Tr(k1^dagger l1)``; for orthogonal inputs
     every phase ties and c defaults to 1.
     """
-    t = complex(np.trace(dagger(k1) @ l1))
+    return _aligned_distance(k1, l1, complex(np.trace(dagger(k1) @ l1)))
+
+
+def _aligned_distance(k1: np.ndarray, l1: np.ndarray, t: complex):
+    """:func:`phase_aligned_distance` given ``t = Tr(k1^dagger l1)``."""
     c = t / abs(t) if abs(t) > 0.0 else 1.0 + 0.0j
     return frobenius_distance(l1, c * k1), c
 
@@ -407,7 +467,8 @@ def _rank1_choi_residual(target: np.ndarray, cand: np.ndarray) -> float:
 
 
 def _n1_candidates(target: np.ndarray, trials: int, seed: int):
-    # Seeded Haar trials, then the boundary candidate. Two d x d unitaries
+    # Stacks of candidates: the seeded Haar trials in bounded blocks, then
+    # the boundary candidate alone. Two d x d unitaries
     # at phase-aligned distance delta have Choi residual
     # delta * sqrt(2 d - delta^2 / 2), which increases with delta, so the
     # smallest residual the floor allows sits just past it. For
@@ -415,14 +476,16 @@ def _n1_candidates(target: np.ndarray, trials: int, seed: int):
     # d - 2 + 2 cos(alpha) is real and positive, so the aligning phase is 1
     # and delta = 2 sqrt(2) sin(alpha / 2).
     d = target.shape[0]
-    for i in range(trials):
-        yield random_unitary(d, spawn_rng(seed, 0, i))
+    for block in _blocks(trials, 16 * d * d):
+        cands = _haar_unitaries(d, [spawn_rng(seed, 0, i) for i in block])
+        cands.setflags(write=False)
+        yield cands
     if d >= 2:
         delta = PHASE_DISTANCE_FLOOR * (1.0 + 1e-6)
         alpha = 2.0 * math.asin(delta / (2.0 * math.sqrt(2.0)))
         turn = np.ones(d, dtype=np.complex128)
         turn[:2] = np.exp([1j * alpha, -1j * alpha])
-        yield target * turn
+        yield (target * turn)[None]
 
 
 def n1_covariance_search(
@@ -447,7 +510,11 @@ def n1_covariance_search(
     implementation, not the math).
 
     Deterministic in (inputs, trials, seed); candidates are evaluated in a
-    fixed order and streams are keyed per trial index.
+    fixed order and streams are keyed per trial index. The random
+    candidates are drawn as stacks in bounded blocks (a fixed byte budget
+    per stack), and each block's phase traces come from one stacked
+    product; every candidate's values are bitwise those of drawing and
+    comparing it alone, so the report does not depend on the blocking.
     """
     k1 = as_cmatrix(k1, name="K1")
     if k1.shape[0] != k1.shape[1]:
@@ -466,22 +533,24 @@ def n1_covariance_search(
     best_candidate = None
     violations = []
     examined = 0
-    for cand in _n1_candidates(target, trials, seed):
-        examined += 1
-        phase_dist, _ = phase_aligned_distance(target, cand)
-        if phase_dist <= PHASE_DISTANCE_FLOOR:
-            continue
-        residual = _rank1_choi_residual(target, cand)
-        if residual < min_residual:
-            min_residual = residual
-            best_phase_distance = phase_dist
-            best_candidate = cand
-        if residual <= tol:
-            violations.append(
-                N1Violation(
-                    residual=residual, phase_distance=phase_dist, candidate=cand
+    for cands in _n1_candidates(target, trials, seed):
+        traces = np.trace(dagger(target) @ cands, axis1=-2, axis2=-1).tolist()
+        for cand, trace in zip(cands, traces):
+            examined += 1
+            phase_dist, _ = _aligned_distance(target, cand, trace)
+            if phase_dist <= PHASE_DISTANCE_FLOOR:
+                continue
+            residual = _rank1_choi_residual(target, cand)
+            if residual < min_residual:
+                min_residual = residual
+                best_phase_distance = phase_dist
+                best_candidate = cand
+            if residual <= tol:
+                violations.append(
+                    N1Violation(
+                        residual=residual, phase_distance=phase_dist, candidate=cand
+                    )
                 )
-            )
 
     eps = PHASE_DISTANCE_FLOOR
     return N1SearchReport(
@@ -508,7 +577,11 @@ def phase_permutation_distance(v: MixingUnitary) -> float:
     so, rounded addition being monotone, the maximum is bitwise the one an
     enumeration of all permutations finds.
     """
-    w = np.abs(v.mat).tolist()
+    return _assignment_distance(np.abs(v.mat).tolist())
+
+
+def _assignment_distance(w: list) -> float:
+    """:func:`phase_permutation_distance` from the rows of ``|V|``."""
     n = len(w)
     if n > 16:
         raise ValueError("the assignment DP is limited to rank <= 16")
@@ -561,7 +634,7 @@ def extract_mixing(
     # a non-finite V has a NaN or infinite defect and must fail here
     if not unitarity_defect(v) <= tol:
         return None
-    rebuilt = np.einsum("ab,bij->aij", v, np.stack(k.ops))
+    rebuilt = _mix(v, np.stack(k.ops))
     errors = np.linalg.norm((np.stack(l.ops) - rebuilt).reshape(n, -1), axis=1)
     if float(errors.max()) > tol * n:
         return None

@@ -20,6 +20,12 @@ __all__ = [
     "unitarity_defect",
 ]
 
+# Bytes one stack of trials may hold, per array: trials evaluated as one
+# stack share numpy's per-call cost, and the budget keeps the stacks and
+# their temporaries from growing with the number of trials.
+_BLOCK_BYTES = 1 << 17
+
+
 def as_cmatrix(a, *, name: str = "matrix") -> np.ndarray:
     """Copy ``a`` into a read-only 2-D complex128 array.
 
@@ -48,12 +54,26 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
+def _frobenius_norms(mats: np.ndarray) -> list:
+    """The Frobenius norm of each matrix of an ``(n, ...)`` stack.
+
+    Each is taken by ``np.linalg.norm`` on its own slice, so it is bitwise
+    the norm of that matrix alone; an axis-wise norm sums in another order.
+    """
+    return [float(np.linalg.norm(m)) for m in mats]
+
+
+def _unitarity_defects(us: np.ndarray) -> list:
+    """``||U†U - I||_F`` for each matrix of an ``(n, d, d)`` stack."""
+    return _frobenius_norms(us.conj().swapaxes(-1, -2) @ us - np.eye(us.shape[-1]))
+
+
 def unitarity_defect(u: np.ndarray) -> float:
     """``||U†U - I||_F``; zero exactly when ``u`` is unitary."""
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
-    return frobenius_distance(dagger(u) @ u, np.eye(u.shape[0]))
+    return _unitarity_defects(u[None])[0]
 
 
 def spawn_rng(seed: int, *path: int) -> np.random.Generator:
@@ -66,6 +86,37 @@ def spawn_rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
 
 
+def _blocks(n: int, member_bytes: int):
+    """Consecutive ranges covering ``range(n)``, as many per range as fit.
+
+    A range holds ``_BLOCK_BYTES // member_bytes`` indices, at least one,
+    so a stack of one array of ``member_bytes`` per index stays within the
+    budget however large ``n`` is.
+    """
+    size = max(1, _BLOCK_BYTES // member_bytes)
+    return [range(i, min(n, i + size)) for i in range(0, n, size)]
+
+
+def _haar_unitaries(d: int, seeds) -> np.ndarray:
+    """One Haar ``d x d`` unitary per seed, as a writable ``(n, d, d)`` stack.
+
+    Each member draws its Ginibre matrix from its own generator, and all go
+    through one stacked QR, which factors each member as it would alone.
+    """
+    g = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        g.append(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    # rebinding drops the draws before QR makes its own copies
+    g = np.stack(g)
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    phases = np.divide(
+        diag, np.abs(diag), out=np.ones_like(diag), where=np.abs(diag) > 0
+    )
+    return q * phases[:, None, :]
+
+
 def random_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed ``d x d`` unitary, deterministic per seed.
 
@@ -76,14 +127,7 @@ def random_unitary(d: int, seed) -> np.ndarray:
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    diag = np.diagonal(r)
-    phases = np.divide(
-        diag, np.abs(diag), out=np.ones_like(diag), where=np.abs(diag) > 0
-    )
-    u = q * phases
+    u = _haar_unitaries(d, [seed])[0]
     u.setflags(write=False)
     return u
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,22 +230,33 @@ def _probabilities(images: np.ndarray) -> list:
     return np.trace(images, axis1=-2, axis2=-1).real.tolist()
 
 
-def _grow(state: np.ndarray, sets) -> tuple:
+def _grow(state: np.ndarray, sets, labels) -> tuple:
     """One frame's account of ``state`` evolving through ``sets`` in turn.
 
     Returns each set's marginal branch probabilities, the unnormalized
     leaves in outcome-sequence order, and the final non-selective state.
     The marginals are the traces of the branch images of the non-selective
     state (by linearity the true marginals); the images sum to the next.
+    Sets accepted at a loose ``tol`` can overflow the products: the first
+    set after which a leaf, the state or a marginal is not finite is named,
+    by its label in ``labels``, in a ``ValueError``, and numpy's overflow
+    warnings are silenced so that this error is all a caller sees.
     """
     d = state.shape[0]
     marginals = []
     leaves = state[None]
-    for k in sets:
-        images = _kraus_images(k.ops, state)
-        marginals.append(tuple(_probabilities(images)))
-        leaves = _kraus_images(k.ops, leaves).reshape(-1, d, d)
-        state = images.sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, label in zip(sets, labels):
+            images = _kraus_images(k.ops, state)
+            marginals.append(tuple(_probabilities(images)))
+            leaves = _kraus_images(k.ops, leaves).reshape(-1, d, d)
+            state = images.sum(axis=0)
+            finite = np.isfinite(leaves).all() and np.isfinite(state).all()
+            if not (finite and all(map(math.isfinite, marginals[-1]))):
+                raise ValueError(
+                    f"intervention {label!r}: branch states overflow; "
+                    "entries must be finite"
+                )
     return marginals, leaves, state
 
 
@@ -280,8 +292,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         sets_s.append(k_joint)
         sets_sp.append(l_joint)
 
-    marginals_s, leaves_s, rho = _grow(cfg.initial_state.mat, sets_s)
-    marginals_sp, leaves_sp, sigma = _grow(sigma, sets_sp)
+    labels = [iv.label for iv in cfg.interventions]
+    marginals_s, leaves_s, rho = _grow(cfg.initial_state.mat, sets_s, labels)
+    marginals_sp, leaves_sp, sigma = _grow(sigma, sets_sp, labels)
     records = tuple(
         InterventionRecord(
             label=iv.label,

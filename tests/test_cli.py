@@ -699,23 +699,40 @@ class TestParserFuzz:
 
 
 class TestOverflowingDerivedSet:
-    """Overflow in a derived set is reported by one error line, no warnings."""
+    """Overflow in a derived set or a leaf is reported by one error line, no warnings."""
 
     @pytest.mark.parametrize("flags", [[], ["-X", "dev", "-W", "error"]], ids=["plain", "dev"])
     def test_stderr_is_one_error_line(self, fixtures, flags):
+        tmp = fixtures["tmp"]
         big = dict(_kraus_obj([np.full((2, 2), 1e308 + 0j)]), trace_preserving=False)
-        big = _write(fixtures["tmp"], "big.json", big)
-        had = _write(fixtures["tmp"], "h.json", matrix_to_obj(S2 * np.array([[1, 1], [1, -1]])))
+        big = _write(tmp, "big.json", big)
+        had = _write(tmp, "h.json", matrix_to_obj(S2 * np.array([[1, 1], [1, -1]])))
+        # accepted at this tol, three 1e70-scaled sets overflow the third leaves
+        tree = load_json(fixtures["scenario"])
+        tree["tol"] = 1e300
+        tree["interventions"] = [
+            {"target": "A", "kraus": _kraus_obj([1e70 * I2])} for _ in range(3)
+        ]
+        tree = _write(tmp, "overflow-tree.json", tree)
+        cases = [
+            (["analyze", big, big, had], "error: Kraus operator 0: entries must be finite\n"),
+            (
+                ["scenario", tree],
+                "error: intervention 'intervention-2': branch states overflow; "
+                "entries must be finite\n",
+            ),
+        ]
         src = os.path.dirname(os.path.dirname(covchan.__file__))
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "covchan", "analyze", big, big, had],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr == "error: Kraus operator 0: entries must be finite\n"
+        for argv, stderr in cases:
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "covchan", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 1
+            assert proc.stdout == ""
+            assert proc.stderr == stderr
 
 
 class TestCliPlumbing:

@@ -108,6 +108,16 @@ class TestRandomUnitary:
         with pytest.raises(ValueError):
             random_unitary(0, 0)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 32])
+    def test_is_the_single_matrix_formula(self, d):
+        # QR of one Ginibre draw with R's diagonal phases folded into Q
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            q, r = np.linalg.qr(g)
+            diag = np.diagonal(r)
+            assert np.array_equal(random_unitary(d, seed), q * (diag / np.abs(diag)))
+
     def test_output_frozen(self):
         u = random_unitary(3, 0)
         with pytest.raises(ValueError):
