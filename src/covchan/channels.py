@@ -12,15 +12,16 @@ The oracle is evaluated in factored form. Stacking the vecs of both sets
 as ``W = [vec K_1 ... vec K_N | vec L_1 ... vec L_M]`` gives
 ``C_K - C_L = W J W^dagger`` with ``J = diag(+1 x N, -1 x M)``; with the
 thin QR ``W = Q R`` the Choi distance is ``||R J R^dagger||_F``, an
-(N+M)-square matrix, so no d^2 x d^2 matrix is ever built.
-:func:`choi_matrix` builds the dense matrix, a plain read-only array, and
-is kept as the reference that the factored form is tested against.
+(N+M)-square matrix, so no d^2 x d^2 matrix is ever built; one stacked
+core, ``_factored_chois``, serves every caller. :func:`choi_matrix`
+builds the dense matrix, a plain read-only array, and is kept as the
+reference that the factored form is tested against.
 
 Each value is checked once, where it enters: sets derived from checked
 ones (conjugated, mixed, embedded) are wrapped without re-checking.
 
-Every operator sum goes through one batched kernel, ``_kraus_images``,
-which maps a stack of matrices to their branch images ``K_A M K_A^dagger``.
+Every conjugation ``U M U^dagger`` is one product, ``_conjugate``; every
+operator sum goes through ``_kraus_images``, its batched branch images.
 """
 
 from __future__ import annotations
@@ -179,6 +180,11 @@ class KrausSet:
         return len(self.ops)
 
 
+def _conjugate(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``U M U^dagger``, with the stacks of ``u`` and ``m`` broadcast together."""
+    return u @ m @ u.conj().swapaxes(-1, -2)
+
+
 def _kraus_images(ops, mats) -> np.ndarray:
     """Branch images ``K_A M K_A^dagger``, shape ``(..., N, d, d)``.
 
@@ -189,7 +195,7 @@ def _kraus_images(ops, mats) -> np.ndarray:
     d = mats.shape[-2]
     if ops.shape[-1] != d:
         raise ValueError(f"operator shape {ops.shape[1:]} does not act on dim {d}")
-    return ops @ mats[..., None, :, :] @ ops.conj().swapaxes(-1, -2)
+    return _conjugate(ops, mats[..., None, :, :])
 
 
 def apply_kraus(ops, mat: np.ndarray) -> np.ndarray:
@@ -272,44 +278,41 @@ def choi_matrix(k: KrausSet) -> np.ndarray:
     return _readonly(0.5 * (c + dagger(c)))
 
 
-def _factored_choi(k: KrausSet, l: KrausSet):
-    """``(||C_K - C_L||_F, R)`` from the thin QR of the stacked vecs.
+def _factored_chois(k: np.ndarray, l: np.ndarray):
+    """``(||C_K - C_L||_F, R)`` per member of operator stacks ``k`` and ``l``.
 
-    R is the triangular factor of ``W = [vec K_1 ... vec K_N | vec L_1 ...
-    vec L_M]``, with N + M columns and ``min(d^2, N + M)`` rows; its
-    leading N x N block is the R of the K vecs alone. The distance is
-    ``||R J R^dagger||_F``, never the Gram expansion ``||G_KK||^2 +
-    ||G_LL||^2 - 2 ||G_KL||^2``, which cancels catastrophically (to about
-    1e-7 at d = 32) exactly where channels are equal.
+    ``k`` is ``(n, N, d, d)`` and ``l`` ``(n, M, d, d)``, as arrays or
+    nested sequences. R is the triangular factor of ``W = [vec K_1 ... vec
+    K_N | vec L_1 ... vec L_M]``; its leading N x N block is the R of the K
+    vecs alone. The distance is ``||R J R^dagger||_F``, never the Gram
+    expansion, which cancels catastrophically (to about 1e-7 at d = 32)
+    exactly where channels are equal. Bitwise equal sets are exactly 0.0
+    apart, which QR roundoff would not give. Overflow warnings are
+    silenced, so that a caller's finiteness check is all a user sees.
     """
-    if k.dim != l.dim:
-        raise ValueError(f"dimension mismatch: {k.dim} vs {l.dim}")
-    w = np.stack([vec(op) for op in k.ops + l.ops], axis=1)
-    distances, r = _factored_chois(w[None], k.rank)
-    return distances[0], r[0]
-
-
-def _factored_chois(w: np.ndarray, n_k: int):
-    """:func:`_factored_choi` for each W of an ``(n, d^2, N + M)`` stack.
-
-    The first ``n_k`` columns of each W are the K vecs; one stacked QR
-    gives the stack of R.
-    """
-    r = np.linalg.qr(w, mode="r")
-    signs = np.ones(w.shape[-1])
-    signs[n_k:] = -1.0
-    return _frobenius_norms((r * signs) @ r.conj().swapaxes(-1, -2)), r
+    k, l = np.asarray(k), np.asarray(l)
+    n, n_k, d, _ = k.shape
+    if l.shape[2:] != (d, d):
+        raise ValueError(f"dimension mismatch: {d} vs {l.shape[-1]}")
+    same = (k == l).all(axis=(1, 2, 3)).tolist() if k.shape == l.shape else [False] * n
+    # w[t, j, i, a] = op_a[i, j]: each W row is vec index i + d j, column-stacking
+    w = np.empty((n, d, d, n_k + l.shape[1]), dtype=np.complex128)
+    w[..., :n_k], w[..., n_k:] = k.transpose(0, 3, 2, 1), l.transpose(0, 3, 2, 1)
+    del k, l  # stacks made here from sequences are not held through the QR
+    signs = np.where(np.arange(w.shape[-1]) < n_k, 1.0, -1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.linalg.qr(w.reshape(n, d * d, -1), mode="r")
+        distances = _frobenius_norms((r * signs) @ r.conj().swapaxes(-1, -2))
+    return [0.0 if eq else x for eq, x in zip(same, distances)], r
 
 
 def choi_distance(k: KrausSet, l: KrausSet) -> float:
     """Frobenius distance between Choi matrices; a metric on channels.
 
     Evaluated in factored form (see the module docstring). Bitwise
-    identical operator lists give exactly 0.0, which QR roundoff would not.
+    identical operator lists give exactly 0.0.
     """
-    if k.rank == l.rank and all(np.array_equal(a, b) for a, b in zip(k.ops, l.ops)):
-        return 0.0
-    return _factored_choi(k, l)[0]
+    return _factored_chois([k.ops], [l.ops])[0][0]
 
 
 def channels_equal(k: KrausSet, l: KrausSet, tol: float = CHANNEL_EQUALITY_TOL) -> bool:

@@ -11,7 +11,6 @@ same inputs, flags, and seed give byte-identical output.
 from __future__ import annotations
 
 import argparse
-import logging
 import math
 import os
 import sys
@@ -46,8 +45,6 @@ __all__ = [
     "main",
 ]
 
-LOGGER = logging.getLogger("covchan")
-
 # A mixing unitary closer than this to phase-times-permutation counts as a
 # trivial relabeling in sweep classification.
 NONTRIVIAL_MIXING_FLOOR = 1e-3
@@ -61,17 +58,15 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
-def _configure_logging() -> None:
+def _log(level: str, message: str, *args) -> None:
+    """Write ``LEVEL covchan: message % args`` to stderr if COVCHAN_LOG shows ``level``.
+
+    COVCHAN_LOG is read at each call: ``info`` shows info lines, ``debug``
+    both levels, any other value none.
+    """
     value = os.environ.get("COVCHAN_LOG", "off").strip().lower()
-    LOGGER.handlers.clear()
-    if value in ("info", "debug"):
-        handler = logging.StreamHandler(sys.stderr)
-        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-        LOGGER.addHandler(handler)
-        LOGGER.setLevel(logging.INFO if value == "info" else logging.DEBUG)
-    else:
-        LOGGER.addHandler(logging.NullHandler())
-        LOGGER.setLevel(logging.CRITICAL + 10)
+    if value == "debug" or value == level == "info":
+        print(f"{level.upper()} covchan: {message % args}", file=sys.stderr)
 
 
 def freedom_sweep(dim: int, rank: int, trials: int, seed: int, tol: float):
@@ -88,8 +83,9 @@ def freedom_sweep(dim: int, rank: int, trials: int, seed: int, tol: float):
 
     Trials run in bounded blocks: each block's sets, frames and mixings
     are drawn, checked and combined as stacked arrays no larger than a
-    fixed byte budget, set by ``dim`` and ``rank``. Streams are still keyed
-    per trial, and each row is bitwise the one that composing the public
+    fixed byte budget, set by ``dim`` and ``rank``, through the stacked
+    cores that ``analyze`` runs as one-member cases. Streams are keyed per
+    trial, and each row is bitwise the one that composing the public
     functions for that trial gives, so the report does not depend on the
     blocking.
     """
@@ -111,12 +107,14 @@ def freedom_sweep(dim: int, rank: int, trials: int, seed: int, tol: float):
             nontrivial = mixing_distance > NONTRIVIAL_MIXING_FLOOR
             trial_degenerate = nontrivial and distance <= NONTRIVIAL_MIXING_FLOOR
             if trial_degenerate:
-                LOGGER.info(
+                _log(
+                    "info",
                     "trial %d: nontrivial mixing collapsed to distance %.3e",
                     i,
                     distance,
                 )
-            LOGGER.debug(
+            _log(
+                "debug",
                 "trial %d: residual %.3e distance %.3e mixing %.3e",
                 i,
                 residual,
@@ -162,10 +160,11 @@ def cmd_analyze(args) -> int:
     lprime = parse_kraus_set(load_json(args.lprime_file), args.lprime_file, args.tol)
     frame = parse_frame(load_json(args.lambda_file), args.lambda_file, args.tol)
     rep = analyze(k, lprime, frame, args.tol)
-    LOGGER.info(
-        "analyze: residual %.3e distance %s verdict %s",
+    _log(
+        "info",
+        "analyze: residual %.3e distance %.3e verdict %s",
         rep.residual,
-        f"{rep.covariant_distance:.3e}",
+        rep.covariant_distance,
         rep.verdict.value,
     )
     report = run_report("analyze", 0, args.tol, 0, rep, __version__)
@@ -188,7 +187,8 @@ def cmd_n1_search(args) -> int:
     k1 = parse_matrix(load_json(args.k1_file), args.k1_file)
     frame = parse_frame(load_json(args.lambda_file), args.lambda_file, args.tol)
     rep = n1_covariance_search(k1, frame, args.trials, args.seed, tol=args.tol)
-    LOGGER.info(
+    _log(
+        "info",
         "n1-search: examined %d candidates, min constrained residual %s, %d violations",
         rep.examined,
         "none" if math.isinf(rep.min_residual) else f"{rep.min_residual:.3e}",
@@ -204,7 +204,8 @@ def cmd_scenario(args) -> int:
         load_json(args.config_file), args.config_file, CHANNEL_EQUALITY_TOL
     )
     result = run_scenario(cfg)
-    LOGGER.info(
+    _log(
+        "info",
         "scenario: covariance defect %.3e verdict %s",
         result.covariance_defect,
         result.verdict.value,
@@ -293,7 +294,6 @@ def _validate_flags(args) -> None:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

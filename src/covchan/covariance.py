@@ -26,10 +26,9 @@ from .channels import (
     COMPLETENESS_TOL,
     DensityMatrix,
     KrausSet,
+    _conjugate,
     _derived_set,
-    _factored_choi,
     _factored_chois,
-    _kraus_images,
     _output_state,
     _readonly,
     _trusted,
@@ -37,7 +36,6 @@ from .channels import (
 )
 from .linalg import (
     _blocks,
-    _frobenius_norms,
     _haar_unitaries,
     _unitarity_defects,
     as_cmatrix,
@@ -121,7 +119,12 @@ class FrameTransform(_Unitary):
 
     def inverse(self) -> "FrameTransform":
         """``Lam^dagger``, as unitary as ``Lam`` was when it was accepted."""
-        return _trusted(FrameTransform, mat=_readonly(dagger(self.mat)))
+        return _trusted(FrameTransform, mat=_inverse_frames(self.mat))
+
+
+def _inverse_frames(f: np.ndarray) -> np.ndarray:
+    """The stored ``Lam^dagger`` of one frame or a stack: contiguous, read-only."""
+    return _readonly(f.conj().swapaxes(-1, -2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +176,7 @@ def transform_state(rho: DensityMatrix, f: FrameTransform) -> DensityMatrix:
     """Covariant state map ``rho -> Lam rho Lam^dagger``; spectrum-preserving."""
     if rho.dim != f.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim} vs frame {f.dim}")
-    return _output_state(_kraus_images([f.mat], rho.mat)[0])
+    return _output_state(_conjugate(f.mat, rho.mat))
 
 
 def conjugate_kraus(k: KrausSet, f: FrameTransform) -> KrausSet:
@@ -184,7 +187,12 @@ def conjugate_kraus(k: KrausSet, f: FrameTransform) -> KrausSet:
     """
     if k.dim != f.dim:
         raise ValueError(f"dimension mismatch: set {k.dim} vs frame {f.dim}")
-    return _derived_set(k, lambda: _kraus_images([f.mat], k.ops)[:, 0])
+    return _derived_set(k, lambda: _conjugate(f.mat, np.asarray(k.ops)))
+
+
+def _check_dims(k: KrausSet, lprime: KrausSet, f: FrameTransform) -> None:
+    if not (k.dim == lprime.dim == f.dim):
+        raise ValueError(f"dimension mismatch: {k.dim}, {lprime.dim}, frame {f.dim}")
 
 
 def compatibility_residual(k: KrausSet, lprime: KrausSet, f: FrameTransform) -> float:
@@ -196,10 +204,7 @@ def compatibility_residual(k: KrausSet, lprime: KrausSet, f: FrameTransform) -> 
     ``sum_A Lam^dagger L'_A Lam rho Lam^dagger L'_A^dagger Lam`` agree for
     every state, with no sampling involved.
     """
-    if not (k.dim == lprime.dim == f.dim):
-        raise ValueError(
-            f"dimension mismatch: {k.dim}, {lprime.dim}, frame {f.dim}"
-        )
+    _check_dims(k, lprime, f)
     return choi_distance(k, conjugate_kraus(lprime, f.inverse()))
 
 
@@ -236,51 +241,39 @@ def _mixed_solution_trials(k: np.ndarray, f: np.ndarray, v: np.ndarray) -> list:
     """Residual, covariant and mixing distance of the mixed solution, per trial.
 
     ``k``, ``f`` and ``v`` are checked stacks of sets ``(n, N, d, d)``,
-    frames ``(n, d, d)`` and mixings ``(n, N, N)``. Trial t takes the steps
-    of :func:`make_noncovariant_solution`, :func:`compatibility_residual`
-    and :func:`covariant_distance` (:func:`phase_aligned_distance` at rank
-    1) on ``(k[t], f[t], v[t])`` as the same operations with a leading
-    trial axis, so its values are bitwise theirs, as is its
-    :func:`phase_permutation_distance`. Products of unitary blocks cannot
-    overflow, so no finiteness check is needed.
+    frames ``(n, d, d)`` and mixings ``(n, N, N)``. Trial t is
+    :func:`make_noncovariant_solution` on ``(k[t], f[t], v[t])`` scored by
+    :func:`compatibility_residual`, :func:`covariant_distance` (or
+    :func:`phase_aligned_distance` at rank 1) and
+    :func:`phase_permutation_distance`, through the stacked cores those
+    run as one-member cases, so its values are bitwise theirs. Products of
+    unitary blocks cannot overflow, so no finiteness check is needed.
     """
-    n, rank, d, _ = k.shape
-    covariant = _kraus_images(f[:, None, None], k)[:, :, 0]
+    covariant = _conjugate(f[:, None], k)
     lprime = _mix(v, covariant)
-    # as FrameTransform.inverse() stores it: a contiguous copy of F^dagger
-    f_inv = np.ascontiguousarray(f.conj().swapaxes(-1, -2))
-    pulled = _kraus_images(f_inv[:, None, None], lprime)[:, :, 0]
-    # each trial's W: the column-stacking vecs of its set, then the pulled-back
-    w = np.concatenate([k, pulled], axis=1).transpose(0, 3, 2, 1)
-    chois, _ = _factored_chois(w.reshape(n, d * d, 2 * rank), rank)
-    # choi_distance's shortcut: bitwise-equal sets are exactly 0.0 apart
-    same = (k == pulled).all(axis=(1, 2, 3)).tolist()
-    residuals = [0.0 if eq else x for eq, x in zip(same, chois)]
-    if rank == 1:
+    pulled = _conjugate(_inverse_frames(f)[:, None], lprime)
+    residuals, _ = _factored_chois(k, pulled)
+    if k.shape[1] == 1:
         distances = [
             phase_aligned_distance(c[0], l[0])[0] for c, l in zip(covariant, lprime)
         ]
     else:
-        norms = _frobenius_norms((lprime - covariant).reshape(n * rank, d, d))
-        distances = [max(norms[t * rank : (t + 1) * rank]) for t in range(n)]
+        distances = _operator_distance(lprime, covariant)
     mixing = [_assignment_distance(row) for row in np.abs(v).tolist()]
     return list(zip(residuals, distances, mixing))
 
 
 def covariant_distance(k: KrausSet, lprime: KrausSet, f: FrameTransform) -> float:
     """``max_A || L'_A - Lam K_A Lam^dagger ||_F``; inf on rank mismatch."""
-    if k.dim != lprime.dim or k.dim != f.dim:
-        raise ValueError(
-            f"dimension mismatch: {k.dim}, {lprime.dim}, frame {f.dim}"
-        )
+    _check_dims(k, lprime, f)
     if k.rank != lprime.rank:
         return math.inf
-    return _operator_distance(lprime, conjugate_kraus(k, f))
+    return _operator_distance([lprime.ops], [conjugate_kraus(k, f).ops])[0]
 
 
-def _operator_distance(a: KrausSet, b: KrausSet) -> float:
-    """``max_A || a_A - b_A ||_F`` for sets of equal rank."""
-    return max(frobenius_distance(x, y) for x, y in zip(a.ops, b.ops))
+def _operator_distance(a, b) -> list:
+    """``max_A || a_A - b_A ||_F`` per member of two ``(n, N, d, d)`` stacks of sets."""
+    return [max(map(frobenius_distance, x, y)) for x, y in zip(a, b)]
 
 
 def _verdict(defect: float, distance: float, tol: float) -> Verdict:
@@ -401,8 +394,8 @@ def n1_uniqueness_check(k1, l1, tol: float = CHANNEL_EQUALITY_TOL) -> N1CheckRes
 
     psis = _witness_states(k1.shape[0])
     rhos = psis[:, :, None] * psis[:, None, :].conj()
-    images_k = _kraus_images([k1], rhos)[:, 0]
-    images_l = _kraus_images([l1], rhos)[:, 0]
+    images_k = _conjugate(k1, rhos)
+    images_l = _conjugate(l1, rhos)
     dists = [frobenius_distance(a, b) for a, b in zip(images_k, images_l)]
     best = int(np.argmax(dists))  # the first of equal maxima
     witness = _output_state(rhos[best])
@@ -526,7 +519,7 @@ def n1_covariance_search(
     _check_single_op_unitary(k1, "K1", tol)
 
     d = f.dim
-    target = _kraus_images([f.mat], k1)[0]
+    target = _conjugate(f.mat, k1)
 
     min_residual = math.inf
     best_phase_distance = None
@@ -618,7 +611,8 @@ def extract_mixing(
     """
     if k.rank != l.rank:
         raise ValueError(f"rank mismatch: {k.rank} vs {l.rank}")
-    distance, r = _factored_choi(k, l)
+    k_ops, l_ops = np.asarray(k.ops), np.asarray(l.ops)
+    (distance,), (r,) = _factored_chois(k_ops[None], l_ops[None])
     if distance > tol:
         raise ValueError(
             "the sets define different channels; no mixing unitary can relate them"
@@ -634,8 +628,8 @@ def extract_mixing(
     # a non-finite V has a NaN or infinite defect and must fail here
     if not unitarity_defect(v) <= tol:
         return None
-    rebuilt = _mix(v, np.stack(k.ops))
-    errors = np.linalg.norm((np.stack(l.ops) - rebuilt).reshape(n, -1), axis=1)
+    rebuilt = _mix(v, k_ops)
+    errors = np.linalg.norm((l_ops - rebuilt).reshape(n, -1), axis=1)
     if float(errors.max()) > tol * n:
         return None
     return _trusted(MixingUnitary, mat=_readonly(v))

@@ -26,6 +26,7 @@ from .channels import (
     CHANNEL_EQUALITY_TOL,
     DensityMatrix,
     KrausSet,
+    _conjugate,
     _derived_set,
     _kraus_images,
 )
@@ -280,9 +281,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             l_joint = embed_local(iv.sprime_kraus, iv.target, cfg.dim_a, cfg.dim_b)
         elif iv.mixing is not None:
             l_joint = mix_kraus(covariant, iv.mixing)
-        representation_distance = max(
-            representation_distance, _operator_distance(l_joint, covariant)
-        )
+        (distance,) = _operator_distance([l_joint.ops], [covariant.ops])
+        representation_distance = max(representation_distance, distance)
         n_branches *= k_joint.rank
         if n_branches > _MAX_BRANCHES:
             raise ValueError(
@@ -337,7 +337,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         + [abs(br.probability_s - br.probability_sprime) for br in branches]
     )
 
-    state_defect = frobenius_distance(sigma, _kraus_images([cfg.frame.mat], rho)[0])
+    state_defect = frobenius_distance(sigma, _conjugate(cfg.frame.mat, rho))
     covariance_defect = max(probability_defect, state_defect)
 
     return ScenarioResult(

@@ -9,6 +9,7 @@ from covchan.channels import (
     STATE_TOL,
     DensityMatrix,
     KrausSet,
+    _factored_chois,
     _kraus_images,
     apply_channel,
     apply_kraus,
@@ -456,6 +457,32 @@ class TestFactoredOracle:
         far = self._assert_oracles_agree(single, other)
         assert far > CHANNEL_EQUALITY_TOL
         assert abs(choi_distance(other, single) - far) <= 1e-12
+
+    @pytest.mark.parametrize("rank_l", [3, 5])
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_stacked_core_per_member(self, d, rank_l):
+        # a member equal to its partner sits between unequal members: only
+        # it may take the exact-zero shortcut
+        seeds = [spawn_rng(41, d, rank_l, i) for i in range(6)]
+        ks = [random_kraus_set(d, 3, seed) for seed in seeds[:3]]
+        ls = [random_kraus_set(d, rank_l, seed) for seed in seeds[3:]]
+        if rank_l == 3:
+            ls[1] = ks[1]
+        else:
+            # the same channel as ks[1], as a set no shortcut can match
+            ops = ks[1].ops
+            ls[1] = KrausSet([*ops[:2]] + [ops[2] / math.sqrt(3)] * 3)
+        distances, r = _factored_chois(
+            np.stack([np.asarray(k.ops) for k in ks]),
+            np.stack([np.asarray(l.ops) for l in ls]),
+        )
+        assert r.shape == (3, min(d * d, 3 + rank_l), 3 + rank_l)
+        for k, l, got in zip(ks, ls, distances):
+            assert got == choi_distance(k, l)
+            assert abs(got - _dense_choi_distance(k, l)) <= 1e-12
+        if rank_l == 3:
+            assert distances[1] == 0.0
+        assert min(distances[0], distances[2]) > CHANNEL_EQUALITY_TOL
 
 
 class TestKrausImages:

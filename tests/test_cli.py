@@ -714,8 +714,11 @@ class TestOverflowingDerivedSet:
             {"target": "A", "kraus": _kraus_obj([1e70 * I2])} for _ in range(3)
         ]
         tree = _write(tmp, "overflow-tree.json", tree)
+        finite = "error: Kraus operator 0: entries must be finite\n"
         cases = [
-            (["analyze", big, big, had], "error: Kraus operator 0: entries must be finite\n"),
+            (["analyze", big, big, had], finite),
+            # one big set: the Choi residual overflows before the conjugate does
+            (["analyze", big, fixtures["ident"], had], finite),
             (
                 ["scenario", tree],
                 "error: intervention 'intervention-2': branch states overflow; "
@@ -839,6 +842,30 @@ class TestCliPlumbing:
         )
         assert code == 0
         assert capsys.readouterr().err == ""
+
+    def test_log_lines_by_level(self, fixtures, capsys, monkeypatch):
+        # info shows the analyze summary and no per-trial debug lines; debug
+        # shows one line per sweep trial, formatted from the report's values
+        sweep = ["freedom-sweep", "--trials", "2", "--seed", "3"]
+        analyze = ["analyze", fixtures["ident"], fixtures["flip"], fixtures["lam_ident"]]
+        monkeypatch.setenv("COVCHAN_LOG", "info")
+        assert main(sweep) == 0
+        assert capsys.readouterr().err == ""
+        assert main(analyze) == 2
+        assert capsys.readouterr().err == (
+            "INFO covchan: analyze: residual 2.828e+00 distance 2.000e+00 "
+            "verdict INCOMPATIBLE\n"
+        )
+        monkeypatch.setenv("COVCHAN_LOG", "debug")
+        assert main(sweep) == 0
+        captured = capsys.readouterr()
+        trials = json.loads(captured.out)["results"]["per_trial"]
+        assert captured.err == "".join(
+            f"DEBUG covchan: trial {t['trial']}: residual {t['residual']:.3e} "
+            f"distance {t['covariant_distance']:.3e} mixing {t['mixing_distance']:.3e}\n"
+            for t in trials
+        )
+        assert len(trials) == 2
 
 
 class TestReportSchema:
