@@ -273,12 +273,13 @@ def covariant_distance(k: KrausSet, lprime: KrausSet, f: FrameTransform) -> floa
 
 def _operator_distance(a, b) -> list:
     """``max_A || a_A - b_A ||_F`` per member of two ``(n, N, d, d)`` stacks of sets."""
-    return [max(map(frobenius_distance, x, y)) for x, y in zip(a, b)]
+    with np.errstate(over="ignore", invalid="ignore"):  # too large to square: inf
+        return [max(map(frobenius_distance, x, y)) for x, y in zip(a, b)]
 
 
 def _verdict(defect: float, distance: float, tol: float) -> Verdict:
-    """Incompatible past ``tol``, else covariant when ``distance`` is within it."""
-    if defect > tol:
+    """Incompatible unless ``defect <= tol``, else covariant if ``distance`` is too."""
+    if not defect <= tol:
         return Verdict.INCOMPATIBLE
     if distance <= tol:
         return Verdict.COVARIANT

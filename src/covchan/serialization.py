@@ -5,10 +5,10 @@ the data flat in row-major order; Kraus sets as ``{"dim": d, "ops":
 [matrix, ...]}``. Parse errors always name the offending field. Reports
 are ASCII JSON indented by 2, byte-identical to ``json.dumps(report,
 indent=2, allow_nan=False)``, written by one in-package encoder straight
-from the result dataclasses, keys in field order; each matrix's data goes
-out in one join. Report floats rely on Python's shortest round-trip repr,
-so identical results serialize to identical bytes; non-finite scalars
-become null, and a non-finite matrix entry is a ValueError.
+from the result dataclasses, keys in field order. Floats are Python's
+shortest round-trip repr (each distinct magnitude in a block of matrices
+is rendered once), so identical results serialize to identical bytes;
+non-finite scalars become null, and a non-finite matrix entry is a ValueError.
 Reports are streamed as they are encoded, in writes of about 64 KiB, so a
 report is never held in memory whole. A file report is streamed into a
 temp file and renamed over ``out`` once complete, so a failed run never
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import itertools
 import json
 import math
 import os
@@ -33,7 +34,7 @@ import numpy as np
 
 from .channels import COMPLETENESS_TOL, DensityMatrix, KrausSet
 from .covariance import UNITARY_TOL, FrameTransform, MixingUnitary
-from .scenario import Intervention, ScenarioConfig, Target
+from .scenario import BranchRecord, Intervention, ScenarioConfig, Target
 
 __all__ = [
     "InputError",
@@ -242,9 +243,20 @@ _INDENT = "  "
 # (one matrix's text more at most), so it is never held in memory whole.
 _CHUNK = 64 * 1024
 
+# Leaf-state entries (complex) whose text a branch list renders at a time.
+_BLOCK = 8192
+
 
 class _Buffer(list):
     __slots__ = ("write", "size")  # where the pieces go, and their characters
+
+    def add(self, text: str) -> None:  # hand the pieces on once they reach _CHUNK
+        self.append(text)
+        self.size += len(text)
+        if self.size >= _CHUNK:
+            self.write("".join(self))
+            self.clear()
+            self.size = 0
 
 
 def _key(key) -> str:
@@ -253,15 +265,20 @@ def _key(key) -> str:
     return f"{encode_basestring_ascii(key)}: "
 
 
+def _scalar(x: float) -> str:
+    return float.__repr__(x) if math.isfinite(x) else "null"
+
+
 def _write(obj, level: int, out: _Buffer, lead: str = "") -> None:
     """Add ``lead`` and the JSON text of a report value at nesting ``level``.
 
     Result dataclasses become objects in field order, so the dataclasses
     are the report schema. Non-finite floats become null; enums their
-    value; density matrices and arrays the matrix file format.
+    value; density matrices and arrays the matrix file format; a tuple of
+    branch records goes to :func:`_write_branches`.
     """
     if isinstance(obj, float):
-        text = float.__repr__(obj) if math.isfinite(obj) else "null"
+        text = _scalar(obj)
     elif obj is None:
         text = "null"
     elif isinstance(obj, bool):
@@ -271,10 +288,12 @@ def _write(obj, level: int, out: _Buffer, lead: str = "") -> None:
     elif isinstance(obj, str):
         text = encode_basestring_ascii(obj)
     elif isinstance(obj, DensityMatrix):
-        text = _matrix_text(obj.mat, level)
+        return _write(obj.mat, level, out, lead)
     elif isinstance(obj, np.ndarray):
-        text = _matrix_text(obj, level)
+        (text,) = _matrix_texts([obj], level)
     elif isinstance(obj, (list, tuple)):
+        if obj and all(isinstance(v, BranchRecord) for v in obj):
+            return _write_branches(obj, level, out, lead)
         return _write_block("[]", (("", v) for v in obj), level, out, lead)
     elif isinstance(obj, enum.Enum):
         return _write(obj.value, level, out, lead)
@@ -287,8 +306,7 @@ def _write(obj, level: int, out: _Buffer, lead: str = "") -> None:
         return _write_block("{}", members, level, out, lead)
     else:
         raise TypeError(f"cannot encode {type(obj).__name__} in a report")
-    out.append(lead + text)
-    out.size += len(lead) + len(text)
+    out.add(lead + text)
 
 
 def _write_block(brackets: str, members, level: int, out: _Buffer, lead: str) -> None:
@@ -298,41 +316,72 @@ def _write_block(brackets: str, members, level: int, out: _Buffer, lead: str) ->
     empty = True
     for prefix, value in members:
         _write(value, level + 1, out, sep + prefix)
-        if out.size >= _CHUNK:
-            out.write("".join(out))
-            out.clear()
-            out.size = 0
         sep = "," + inner
         empty = False
-    text = lead + brackets if empty else f"\n{_INDENT * level}{brackets[1]}"
-    out.append(text)
-    out.size += len(text)
+    out.add(lead + brackets if empty else f"\n{_INDENT * level}{brackets[1]}")
 
 
-def _matrix_text(m, level: int) -> str:
-    """A matrix in the matrix file format, its data in one join."""
-    m = np.ascontiguousarray(m, dtype=np.complex128)
-    flat = m.view(np.float64).ravel().tolist()
-    if not all(map(math.isfinite, flat)):
-        bad = next(x for x in flat if not math.isfinite(x))
+def _write_branches(branches, level: int, out: _Buffer, lead: str) -> None:
+    """Add ``lead`` and a list of branch records, each leaf from one template.
+
+    Live states are rendered a block of about ``_BLOCK`` entries at a time; a
+    leaf goes out in pieces that end at a state, so writes stay bounded.
+    """
+    member, item = "\n" + _INDENT * (level + 2), "\n" + _INDENT * (level + 3)
+    middle, close = f',{member}"state_sprime": ', f"\n{_INDENT * (level + 1)}}}"
+    sep, between = f"{lead}[\n{_INDENT * (level + 1)}", f",\n{_INDENT * (level + 1)}"
+    states = [s for b in branches for s in (b.state_s, b.state_sprime)]
+    step = max(1, _BLOCK // next((2 * s.mat.size for s in states if s is not None), 1))
+    for start in range(0, len(branches), step):
+        live = [s.mat for s in states[2 * start : 2 * (start + step)] if s is not None]
+        texts = _matrix_texts(live, level + 2)  # not started if all are null
+        for b in branches[start : start + step]:
+            seq = f",{item}".join(map(int.__repr__, b.sequence))
+            seq = f"[{item}{seq}{member}]" if seq else "[]"
+            out.add(
+                f'{sep}{{{member}"sequence": {seq},'
+                f'{member}"probability_s": {_scalar(b.probability_s)},'
+                f'{member}"probability_sprime": {_scalar(b.probability_sprime)},'
+                f'{member}"state_s": '
+            )
+            out.add(("null" if b.state_s is None else next(texts)) + middle)
+            out.add(("null" if b.state_sprime is None else next(texts)) + close)
+            sep = between
+    out.add(f"\n{_INDENT * level}]")
+
+
+def _float_texts(flat: np.ndarray) -> list:
+    """``float.__repr__`` of each entry of a 1-D float64 array, as a list.
+
+    Each distinct ``|x|`` bit pattern is rendered once, and ``-x`` takes the
+    text with a minus prepended: exact for every finite x, -0.0 included.
+    A non-finite entry is stdlib json's ValueError, naming the first one.
+    """
+    if not np.isfinite(flat).all():
+        bad = float(flat[~np.isfinite(flat)][0])
         raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-    if flat:
-        # data is a list (level + 1) of [re, im] pairs (level + 2)
-        pair = "\n" + _INDENT * (level + 2)
-        part = "\n" + _INDENT * (level + 3)
-        reprs = map(float.__repr__, flat)
-        data = (
-            f"[{pair}[{part}"
-            + f"{pair}],{pair}[{part}".join(map(f",{part}".join, zip(reprs, reprs)))
-            + f"{pair}]\n{_INDENT * (level + 1)}]"
+    magnitudes, rank = np.unique(np.abs(flat).view(np.uint64), return_inverse=True)
+    texts = list(map(float.__repr__, magnitudes.view(np.float64).tolist()))
+    table = np.array(texts + ["-" + t for t in texts], dtype=object)
+    return table[rank + np.signbit(flat) * len(texts)].tolist()
+
+
+def _matrix_texts(mats, level: int):
+    """Yield matrices in the matrix file format, their entries rendered as one block."""
+    flat = np.concatenate(mats, axis=None, dtype=np.complex128).view(np.float64)
+    entries = iter(_float_texts(flat))
+    # data is a list (level + 1) of [re, im] pairs (level + 2)
+    inner, pair, part = ("\n" + _INDENT * (level + k) for k in (1, 2, 3))
+    pairs = map(f",{part}".join, zip(entries, entries))
+    between = f"{pair}],{pair}[{part}"
+    for m in mats:
+        rows, cols = m.shape
+        data = between.join(itertools.islice(pairs, rows * cols))
+        data = f"[{pair}[{part}{data}{pair}]{inner}]" if data else "[]"
+        yield (
+            f'{{{inner}"rows": {rows},{inner}"cols": {cols},{inner}"data": '
+            f"{data}\n{_INDENT * level}}}"
         )
-    else:
-        data = "[]"
-    inner = "\n" + _INDENT * (level + 1)
-    return (
-        f'{{{inner}"rows": {m.shape[0]},{inner}"cols": {m.shape[1]},{inner}"data": '
-        f"{data}\n{_INDENT * level}}}"
-    )
 
 
 def run_report(

@@ -19,7 +19,7 @@ from covchan import serialization
 from covchan.channels import DensityMatrix, KrausSet
 from covchan.cli import main
 from covchan.covariance import FrameTransform, Verdict, analyze
-from covchan.linalg import random_unitary, spawn_rng
+from covchan.linalg import random_density, random_unitary, spawn_rng
 from covchan.serialization import (
     InputError,
     dump_report,
@@ -737,6 +737,26 @@ class TestOverflowingDerivedSet:
             assert proc.stdout == ""
             assert proc.stderr == stderr
 
+    @pytest.mark.parametrize("flags", [[], ["-X", "dev", "-W", "error"]], ids=["plain", "dev"])
+    def test_nonfinite_residual_reads_incompatible(self, fixtures, flags):
+        tmp = fixtures["tmp"]
+        # finite, so accepted; the Choi residual and the distance overflow
+        big = dict(_kraus_obj([np.full((2, 2), 1e200 + 0j)]), trace_preserving=False)
+        big = _write(tmp, "big.json", big)
+        argv = ["analyze", big, fixtures["ident"], fixtures["lam_ident"]]
+        src = os.path.dirname(os.path.dirname(covchan.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "covchan", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.stderr == ""
+        assert proc.returncode == 2
+        results = json.loads(proc.stdout)["results"]
+        assert results["verdict"] == "INCOMPATIBLE"
+        assert results["residual"] is None and results["covariant_distance"] is None
+
 
 class TestCliPlumbing:
     def test_unknown_flag_exit_one(self, capsys):
@@ -1060,6 +1080,57 @@ def _tree_4096():
     return result
 
 
+def _isometry_set(n, d, seed, null=()):
+    """n d x d operators cut from a random isometry; those at ``null`` are zero."""
+    rng = np.random.default_rng(seed)
+    live = n - len(null)
+    g = rng.normal(size=(live * d, d)) + 1j * rng.normal(size=(live * d, d))
+    ops = iter(np.linalg.qr(g)[0].reshape(live, d, d))
+    return KrausSet([np.zeros((d, d)) if i in null else next(ops) for i in range(n)])
+
+
+def _one_step_tree(d, kraus=None, sprime=None):
+    """A scenario on a d-level system: one joint step, or none if ``kraus`` is None."""
+    steps = () if kraus is None else (
+        Intervention("step", kraus, Target.JOINT, sprime_kraus=sprime),
+    )
+    cfg = ScenarioConfig(
+        initial_state=DensityMatrix(random_density(d, 3)),
+        dim_a=d,
+        dim_b=1,
+        frame=FrameTransform(random_unitary(d, 4)),
+        interventions=steps,
+    )
+    return run_scenario(cfg)
+
+
+def _block_leaves(d):
+    """How many d-level leaves the writer renders as one block."""
+    return serialization._BLOCK // (2 * d * d)
+
+
+@functools.lru_cache(maxsize=None)
+def _block_trees():
+    step = _block_leaves(2)
+    # leaves step - 1 and step straddle the first block boundary
+    null_s, null_sp = {step - 1, step}, {step - 1, step + 1}
+    trees = {
+        "scenario-block-plus-one": _one_step_tree(2, _isometry_set(step + 1, 2, 1)),
+        "scenario-null-at-block-edge": _one_step_tree(
+            2, _isometry_set(step + 2, 2, 1, null_s), _isometry_set(step + 2, 2, 2, null_sp)
+        ),
+        "scenario-no-interventions": _one_step_tree(2),
+        "scenario-d16": _one_step_tree(16, _isometry_set(_block_leaves(16) + 1, 16, 5)),
+        "scenario-one-leaf": _one_step_tree(2, _isometry_set(1, 2, 6)),
+    }
+    edge = trees["scenario-null-at-block-edge"].branches[step - 1 : step + 2]
+    assert edge[0].state_s is None and edge[0].state_sprime is None
+    assert edge[1].state_s is None and edge[1].state_sprime is not None
+    assert edge[2].state_s is not None and edge[2].state_sprime is None
+    assert trees["scenario-no-interventions"].branches[0].sequence == ()
+    return trees
+
+
 def _writer_cases():
     rng = np.random.default_rng(5)
     d32 = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
@@ -1086,6 +1157,7 @@ def _writer_cases():
         "enums-and-dataclass": [Verdict.COVARIANT, analyze(dephase, dephase, lam)],
         "scenario-null-states": _null_state_scenario(),
         "scenario-4096-leaves": _tree_4096(),
+        **_block_trees(),
     }
 
 
@@ -1114,6 +1186,17 @@ class TestReportWriter:
         assert str(ours.value) == str(stdlib.value)
         assert repr(bad) in str(ours.value)
 
+    def test_first_nonfinite_entry_in_row_major_order(self):
+        m = np.zeros((3, 3))
+        m[0, 1], m[1, 0] = math.inf, math.nan
+        # in memory, m.T holds inf first; read by rows, nan comes first
+        with pytest.raises(ValueError) as ours:
+            _report({"m": m.T})
+        with pytest.raises(ValueError) as stdlib:
+            _reference_report({"m": m.T})
+        assert str(ours.value) == str(stdlib.value)
+        assert str(ours.value).endswith(": nan")
+
     @pytest.mark.parametrize("key", [1, 1.5, None, ("a",)])
     def test_non_string_key_rejected(self, key):
         with pytest.raises(TypeError, match="cannot encode"):
@@ -1136,6 +1219,51 @@ class TestReportWriter:
         out = fixtures["tmp"] / "round-trip.json"
         assert main(argv + ["--out", str(out)]) == code
         assert out.read_text(encoding="ascii") == text
+
+
+def _awkward_floats():
+    """Signed zeros, subnormals, extremes and 17-digit values, each with its
+    negation and repeats, shuffled among random draws."""
+    rng = np.random.default_rng(21)
+    special = [
+        0.0, 5e-324, 1e-310, 2.225073858507201e-308, 2.2250738585072014e-308,
+        1.7976931348623157e308, 0.1, 1 / 3, 2 / 3, 0.30000000000000004,
+        1.2345678901234567e-5, 1e16, 1e22, 123456789.0,
+    ]
+    draws = list(rng.normal(size=40)) + list(rng.normal(size=40) * 1e-300)
+    values = [v for x in special + draws for v in (x, -x)] * 3
+    values += list(rng.choice(values, size=200))
+    rng.shuffle(values)
+    return np.array(values)
+
+
+class TestFloatTexts:
+    """Each entry is rendered exactly as ``float.__repr__`` renders it."""
+
+    def test_every_entry_is_its_repr(self):
+        flat = _awkward_floats()
+        texts = serialization._float_texts(flat)
+        assert texts == [float.__repr__(x) for x in flat.tolist()]
+        assert {"0.0", "-0.0", "5e-324", "-5e-324", "-1.7976931348623157e+308"} <= set(texts)
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_short_arrays(self, size):
+        flat = np.array([-0.0, 0.0, -0.0][:size])
+        assert serialization._float_texts(flat) == ["-0.0", "0.0", "-0.0"][:size]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 7, 159])
+    def test_first_nonfinite_entry_raises_like_stdlib(self, bad, at):
+        flat = _awkward_floats()[:160].copy()
+        # a different non-finite value later on must not be the one named
+        flat[-1] = -math.inf if math.isnan(bad) else math.nan
+        flat[at] = bad
+        with pytest.raises(ValueError) as ours:
+            serialization._float_texts(flat)
+        with pytest.raises(ValueError) as stdlib:
+            json.dumps(flat.tolist(), indent=2, allow_nan=False)
+        assert str(ours.value) == str(stdlib.value)
+        assert str(ours.value).endswith(": " + repr(bad))
 
 
 def _matrix_text_length(m, level):

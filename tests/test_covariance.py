@@ -293,8 +293,12 @@ class TestVerdictRule:
             (1e-9, 1e-9, Verdict.COVARIANT),
             (0.0, 2e-9, Verdict.NONCOVARIANT_COMPATIBLE),
             (0.0, math.inf, Verdict.NONCOVARIANT_COMPATIBLE),
-            # NaN fails both comparisons
-            (math.nan, 0.0, Verdict.COVARIANT),
+            (-math.inf, 0.0, Verdict.COVARIANT),
+            (-math.inf, math.inf, Verdict.NONCOVARIANT_COMPATIBLE),
+            # a NaN defect is never within tol; a NaN distance is never covariant
+            (math.nan, 0.0, Verdict.INCOMPATIBLE),
+            (math.nan, math.nan, Verdict.INCOMPATIBLE),
+            (math.inf, math.nan, Verdict.INCOMPATIBLE),
             (0.0, math.nan, Verdict.NONCOVARIANT_COMPATIBLE),
         ],
     )
