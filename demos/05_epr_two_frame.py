@@ -50,8 +50,10 @@ print("branch probabilities, frame S: ", [f"{p:.3f}" for p in rec.probabilities_
 print("branch probabilities, frame S':", [f"{p:.3f}" for p in rec.probabilities_sprime])
 print(f"covariance defect: {result.covariance_defect:.3e}  ->  {result.verdict.name}")
 
-for branch in result.branches:
-    print(f"  outcome {branch.sequence}: p = {branch.probability_s:.3f}")
+# the leaves are one table: row i is outcome sequence i, frames S and S'
+branches = result.branches
+for seq, (p_s, _) in zip(branches.sequences, branches.probabilities.tolist()):
+    print(f"  outcome {seq}: p = {p_s:.3f}")
 
 # Give frame S' a mixed representation of the same measurement channel.
 # The operators now differ from the conjugated ones, yet every probability
@@ -90,8 +92,9 @@ cfg = ScenarioConfig(
 exposed = run_scenario(cfg)
 
 print("\nmixing z on A by H, then z on B: joint outcome probabilities")
-for name, field in (("S ", "probability_s"), ("S'", "probability_sprime")):
-    table = {b.sequence: getattr(b, field) for b in exposed.branches}
+for name, frame in (("S ", 0), ("S'", 1)):
+    probs = exposed.branches.probabilities[:, frame].tolist()
+    table = dict(zip(exposed.branches.sequences, probs))
     print(f"  frame {name}   B=0    B=1")
     for a in (0, 1):
         print(f"    A={a}   " + "  ".join(f"{table[(a, b)]:.3f}" for b in (0, 1)))

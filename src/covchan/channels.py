@@ -92,8 +92,9 @@ class DensityMatrix:
     States are checked where they enter: the constructor checks that the
     matrix is finite, Hermitian, of unit trace and positive semidefinite,
     within ``STATE_TOL`` and in that order. States the library derives
-    (channel outputs, frame transforms, scenario leaves) are wrapped by
-    :meth:`_from_stack` and reported as computed.
+    (channel outputs, frame transforms, a scenario's final states) are
+    wrapped through ``_trusted`` and ``_readonly`` and reported as computed;
+    a scenario's leaf states stay arrays in its ``Branches`` table.
     """
 
     mat: np.ndarray
@@ -113,16 +114,6 @@ class DensityMatrix:
         if lo < -STATE_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
         object.__setattr__(self, "mat", mat)
-
-    @classmethod
-    def _from_stack(cls, mats: np.ndarray) -> list:
-        """One state per matrix of a derived ``(n, d, d)`` stack, unchecked.
-
-        Each state holds a read-only view of the stack. Its inputs were
-        checked where they entered, so nothing is checked again.
-        """
-        mats.setflags(write=False)
-        return [_trusted(cls, mat=mat) for mat in mats]
 
     @property
     def dim(self) -> int:
@@ -225,7 +216,7 @@ def apply_channel(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
 
 def _output_state(out: np.ndarray) -> DensityMatrix:
     """An evolved state, symmetrized and wrapped without a check."""
-    return DensityMatrix._from_stack(0.5 * (out + dagger(out))[None])[0]
+    return _trusted(DensityMatrix, mat=_readonly(0.5 * (out + dagger(out))))
 
 
 def completeness_defect(k: KrausSet) -> float:

@@ -18,6 +18,7 @@ import sys
 from . import __version__
 from .channels import CHANNEL_EQUALITY_TOL, _random_kraus_ops
 from .covariance import (
+    _DP_MAX_RANK,
     FrameTransform,
     MixingUnitary,
     Verdict,
@@ -79,7 +80,8 @@ def freedom_sweep(dim: int, rank: int, trials: int, seed: int, tol: float):
     is infinite, null in the report, when no mixing was nontrivial. A
     trial falsifies the implementation when the mixed set fails
     compatibility, or, at rank 1, when a compatible candidate sits far
-    from the covariant solution.
+    from the covariant solution. A rank above the assignment DP's cap is
+    refused before anything is drawn.
 
     Trials run in bounded blocks: each block's sets, frames and mixings
     are drawn, checked and combined as stacked arrays no larger than a
@@ -91,6 +93,8 @@ def freedom_sweep(dim: int, rank: int, trials: int, seed: int, tol: float):
     """
     if dim < 1 or rank < 1 or trials < 1:
         raise InputError("dim, rank, and trials must all be >= 1")
+    if rank > _DP_MAX_RANK:
+        raise InputError(f"the assignment DP is limited to rank <= {_DP_MAX_RANK}")
     per_trial = []
     # the largest stacks: the rank*dim square samples behind the sets, and
     # the d^2 x 2 rank vecs of the factored Choi distance

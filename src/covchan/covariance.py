@@ -73,6 +73,9 @@ __all__ = [
 
 UNITARY_TOL = 1e-10
 
+# The assignment DP runs over 2^rank column subsets; a larger rank is refused.
+_DP_MAX_RANK = 16
+
 # Below this smallest Gram eigenvalue, taken as sigma_min(R_K)^2 from the
 # QR of the stacked Kraus vecs, the operators count as linearly dependent
 # and no mixing is extracted.
@@ -577,8 +580,8 @@ def phase_permutation_distance(v: MixingUnitary) -> float:
 def _assignment_distance(w: list) -> float:
     """:func:`phase_permutation_distance` from the rows of ``|V|``."""
     n = len(w)
-    if n > 16:
-        raise ValueError("the assignment DP is limited to rank <= 16")
+    if n > _DP_MAX_RANK:
+        raise ValueError(f"the assignment DP is limited to rank <= {_DP_MAX_RANK}")
     # best[mask]: the largest sum over rows 0..popcount(mask)-1 assigned to
     # the columns in mask; every mask ^ bit is smaller than mask.
     best = [0.0]

@@ -10,7 +10,8 @@ channel). Branch statistics are stricter: they agree for every state
 only when each mixing is diagonal phases. Any other mixing, permutations
 included, changes the selective branches, and the statistics of that
 intervention or of a later one can expose it. The individual
-post-branch states are reported but never folded into the defect.
+post-branch states are reported, as one table :class:`Branches`, but
+never folded into the defect.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from .channels import (
     _conjugate,
     _derived_set,
     _kraus_images,
+    _readonly,
+    _trusted,
 )
 from .covariance import (
     FrameTransform,
@@ -44,7 +47,7 @@ from .linalg import frobenius_distance
 
 __all__ = [
     "NULL_BRANCH_PROB",
-    "BranchRecord",
+    "Branches",
     "Intervention",
     "InterventionRecord",
     "ScenarioConfig",
@@ -165,19 +168,28 @@ class InterventionRecord:
     probability_defect: float
 
 
-@dataclass(frozen=True)
-class BranchRecord:
-    """One leaf of the outcome tree: a full outcome sequence.
+@dataclass(frozen=True, eq=False)
+class Branches:
+    """The leaves of the outcome tree as read-only columns, one row per leaf.
 
-    States are renormalized post-measurement states; ``None`` marks a null
-    branch (probability at or below the null threshold in that frame).
+    Leaf ``i`` is the outcome sequence ``list(sequences)[i]``, over
+    ``counts`` branches per intervention. Rows of ``probabilities``, of
+    ``live`` (above ``NULL_BRANCH_PROB``) and of ``states`` (renormalized,
+    shape ``(L, 2, d, d)``, NaN where null) hold frame S, then frame S'.
     """
 
-    sequence: tuple
-    probability_s: float
-    probability_sprime: float
-    state_s: DensityMatrix | None
-    state_sprime: DensityMatrix | None
+    counts: np.ndarray
+    probabilities: np.ndarray
+    live: np.ndarray
+    states: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.probabilities)
+
+    @property
+    def sequences(self):
+        """Each leaf's outcome sequence, as a tuple of ints, in leaf order."""
+        return itertools.product(*map(range, self.counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -195,7 +207,7 @@ class ScenarioResult:
     dim_a: int
     dim_b: int
     interventions: tuple
-    branches: tuple
+    branches: Branches
     final_state_s: DensityMatrix
     final_state_sprime: DensityMatrix
     probability_defect: float
@@ -266,8 +278,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
     Frame S grows from the initial state through the embedded sets, frame
     S' from its covariant transform through the per-intervention S' sets,
-    each by :func:`_grow`; the leaves give the joint statistics and
-    post-branch states.
+    each by :func:`_grow`; their leaves become one :class:`Branches` table
+    of joint statistics and post-branch states.
     """
     sigma = transform_state(cfg.initial_state, cfg.frame).mat
     sets_s, sets_sp = [], []
@@ -306,36 +318,21 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         for iv, probs_s, probs_sp in zip(cfg.interventions, marginals_s, marginals_sp)
     )
 
-    sequences = itertools.product(*(range(iv.kraus.rank) for iv in cfg.interventions))
-    # (leaf, frame) probabilities; live leaves are renormalized and wrapped
-    # with both final states as one stack, in the order the branches list them
+    # (leaf, frame) columns; live states are renormalized in place
+    counts = np.array([iv.kraus.rank for iv in cfg.interventions], dtype=np.intp)
     probs = np.stack([_probabilities(leaves_s), _probabilities(leaves_sp)], axis=1)
     live = ~(probs <= NULL_BRANCH_PROB)
-    states = np.stack([leaves_s, leaves_sp], axis=1)[live]
-    states /= probs[live][:, None, None]
+    states = np.stack([leaves_s, leaves_sp], axis=1)
+    states[~live] = np.nan
+    np.divide(states, probs[..., None, None], out=states, where=live[..., None, None])
     states += states.conj().swapaxes(-1, -2)
     states *= 0.5
-    *leaf_states, final_s, final_sp = DensityMatrix._from_stack(
-        np.concatenate([states, rho[None], sigma[None]])
-    )
-    leaf_states = iter(leaf_states)
-    branches = tuple(
-        BranchRecord(
-            sequence=seq,
-            probability_s=p_s,
-            probability_sprime=p_sp,
-            state_s=next(leaf_states) if live_s else None,
-            state_sprime=next(leaf_states) if live_sp else None,
-        )
-        for seq, (p_s, p_sp), (live_s, live_sp) in zip(
-            sequences, probs.tolist(), live.tolist()
-        )
-    )
+    for column in (counts, probs, live, states):
+        column.setflags(write=False)
+    branches = Branches(counts, probs, live, states)
 
-    probability_defect = max(
-        [0.0, *(rec.probability_defect for rec in records)]
-        + [abs(br.probability_s - br.probability_sprime) for br in branches]
-    )
+    defects = [0.0, *(rec.probability_defect for rec in records)]
+    probability_defect = max(defects + np.abs(probs[:, 0] - probs[:, 1]).tolist())
 
     state_defect = frobenius_distance(sigma, _conjugate(cfg.frame.mat, rho))
     covariance_defect = max(probability_defect, state_defect)
@@ -345,8 +342,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         dim_b=cfg.dim_b,
         interventions=records,
         branches=branches,
-        final_state_s=final_s,
-        final_state_sprime=final_sp,
+        final_state_s=_trusted(DensityMatrix, mat=_readonly(rho)),
+        final_state_sprime=_trusted(DensityMatrix, mat=_readonly(sigma)),
         probability_defect=probability_defect,
         state_defect=state_defect,
         covariance_defect=covariance_defect,

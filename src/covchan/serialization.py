@@ -5,7 +5,8 @@ the data flat in row-major order; Kraus sets as ``{"dim": d, "ops":
 [matrix, ...]}``. Parse errors always name the offending field. Reports
 are ASCII JSON indented by 2, byte-identical to ``json.dumps(report,
 indent=2, allow_nan=False)``, written by one in-package encoder straight
-from the result dataclasses, keys in field order. Floats are Python's
+from the result dataclasses, keys in field order; a scenario's leaf
+table is written as one object per leaf. Floats are Python's
 shortest round-trip repr (each distinct magnitude in a block of matrices
 is rendered once), so identical results serialize to identical bytes;
 non-finite scalars become null, and a non-finite matrix entry is a ValueError.
@@ -34,7 +35,8 @@ import numpy as np
 
 from .channels import COMPLETENESS_TOL, DensityMatrix, KrausSet
 from .covariance import UNITARY_TOL, FrameTransform, MixingUnitary
-from .scenario import BranchRecord, Intervention, ScenarioConfig, Target
+from .linalg import _blocks
+from .scenario import Branches, Intervention, ScenarioConfig, Target
 
 __all__ = [
     "InputError",
@@ -243,9 +245,6 @@ _INDENT = "  "
 # (one matrix's text more at most), so it is never held in memory whole.
 _CHUNK = 64 * 1024
 
-# Leaf-state entries (complex) whose text a branch list renders at a time.
-_BLOCK = 8192
-
 
 class _Buffer(list):
     __slots__ = ("write", "size")  # where the pieces go, and their characters
@@ -274,8 +273,8 @@ def _write(obj, level: int, out: _Buffer, lead: str = "") -> None:
 
     Result dataclasses become objects in field order, so the dataclasses
     are the report schema. Non-finite floats become null; enums their
-    value; density matrices and arrays the matrix file format; a tuple of
-    branch records goes to :func:`_write_branches`.
+    value; density matrices and arrays the matrix file format; a leaf
+    table goes to :func:`_write_branches`.
     """
     if isinstance(obj, float):
         text = _scalar(obj)
@@ -290,10 +289,10 @@ def _write(obj, level: int, out: _Buffer, lead: str = "") -> None:
     elif isinstance(obj, DensityMatrix):
         return _write(obj.mat, level, out, lead)
     elif isinstance(obj, np.ndarray):
-        (text,) = _matrix_texts([obj], level)
+        (text,) = _matrix_texts(obj[None], level)
+    elif isinstance(obj, Branches):
+        return _write_branches(obj, level, out, lead)
     elif isinstance(obj, (list, tuple)):
-        if obj and all(isinstance(v, BranchRecord) for v in obj):
-            return _write_branches(obj, level, out, lead)
         return _write_block("[]", (("", v) for v in obj), level, out, lead)
     elif isinstance(obj, enum.Enum):
         return _write(obj.value, level, out, lead)
@@ -321,31 +320,34 @@ def _write_block(brackets: str, members, level: int, out: _Buffer, lead: str) ->
     out.add(lead + brackets if empty else f"\n{_INDENT * level}{brackets[1]}")
 
 
-def _write_branches(branches, level: int, out: _Buffer, lead: str) -> None:
-    """Add ``lead`` and a list of branch records, each leaf from one template.
+def _write_branches(branches: Branches, level: int, out: _Buffer, lead: str) -> None:
+    """Add ``lead`` and a leaf table as a list, each leaf from one template.
 
-    Live states are rendered a block of about ``_BLOCK`` entries at a time; a
-    leaf goes out in pieces that end at a state, so writes stay bounded.
+    Live states are rendered as many leaves at a time as ``linalg``'s block
+    budget holds; a leaf goes out in pieces that end at a state.
     """
     member, item = "\n" + _INDENT * (level + 2), "\n" + _INDENT * (level + 3)
     middle, close = f',{member}"state_sprime": ', f"\n{_INDENT * (level + 1)}}}"
     sep, between = f"{lead}[\n{_INDENT * (level + 1)}", f",\n{_INDENT * (level + 1)}"
-    states = [s for b in branches for s in (b.state_s, b.state_sprime)]
-    step = max(1, _BLOCK // next((2 * s.mat.size for s in states if s is not None), 1))
-    for start in range(0, len(branches), step):
-        live = [s.mat for s in states[2 * start : 2 * (start + step)] if s is not None]
-        texts = _matrix_texts(live, level + 2)  # not started if all are null
-        for b in branches[start : start + step]:
-            seq = f",{item}".join(map(int.__repr__, b.sequence))
+    sequences = branches.sequences
+    for block in _blocks(len(branches), branches.states[0].nbytes):
+        rows = slice(block.start, block.stop)
+        live = branches.live[rows]
+        texts = _matrix_texts(branches.states[rows][live], level + 2)
+        # the bounded lists first: zip stops before taking another sequence
+        for (p_s, p_sp), (live_s, live_sp), seq in zip(
+            branches.probabilities[rows].tolist(), live.tolist(), sequences
+        ):
+            seq = f",{item}".join(map(int.__repr__, seq))
             seq = f"[{item}{seq}{member}]" if seq else "[]"
             out.add(
                 f'{sep}{{{member}"sequence": {seq},'
-                f'{member}"probability_s": {_scalar(b.probability_s)},'
-                f'{member}"probability_sprime": {_scalar(b.probability_sprime)},'
+                f'{member}"probability_s": {_scalar(p_s)},'
+                f'{member}"probability_sprime": {_scalar(p_sp)},'
                 f'{member}"state_s": '
             )
-            out.add(("null" if b.state_s is None else next(texts)) + middle)
-            out.add(("null" if b.state_sprime is None else next(texts)) + close)
+            out.add((next(texts) if live_s else "null") + middle)
+            out.add((next(texts) if live_sp else "null") + close)
             sep = between
     out.add(f"\n{_INDENT * level}]")
 
@@ -366,16 +368,16 @@ def _float_texts(flat: np.ndarray) -> list:
     return table[rank + np.signbit(flat) * len(texts)].tolist()
 
 
-def _matrix_texts(mats, level: int):
-    """Yield matrices in the matrix file format, their entries rendered as one block."""
-    flat = np.concatenate(mats, axis=None, dtype=np.complex128).view(np.float64)
+def _matrix_texts(mats: np.ndarray, level: int):
+    """Yield each matrix of an ``(n, r, c)`` stack, rendered as one block."""
+    n, rows, cols = mats.shape
+    flat = np.ascontiguousarray(mats, dtype=np.complex128).view(np.float64).ravel()
     entries = iter(_float_texts(flat))
     # data is a list (level + 1) of [re, im] pairs (level + 2)
     inner, pair, part = ("\n" + _INDENT * (level + k) for k in (1, 2, 3))
     pairs = map(f",{part}".join, zip(entries, entries))
     between = f"{pair}],{pair}[{part}"
-    for m in mats:
-        rows, cols = m.shape
+    for _ in range(n):
         data = between.join(itertools.islice(pairs, rows * cols))
         data = f"[{pair}[{part}{data}{pair}]{inner}]" if data else "[]"
         yield (

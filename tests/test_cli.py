@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import covchan
-from covchan import serialization
+from covchan import linalg, serialization
 from covchan.channels import DensityMatrix, KrausSet
 from covchan.cli import main
 from covchan.covariance import FrameTransform, Verdict, analyze
@@ -31,6 +31,7 @@ from covchan.serialization import (
     run_report,
 )
 from covchan.scenario import (
+    Branches,
     Intervention,
     ScenarioConfig,
     Target,
@@ -41,6 +42,25 @@ I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 S2 = 1.0 / np.sqrt(2.0)
+
+
+def _assert_same_text(got, want):
+    """``got == want`` for whole reports, with a short message on a mismatch.
+
+    pytest's own diff of two multi-megabyte texts runs for minutes; this
+    names both lengths, the first differing offset and 200 characters on
+    each side of it.
+    """
+    if got == want:
+        return
+    at = next(
+        (i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want))
+    )
+    lo, hi = max(0, at - 200), at + 200
+    pytest.fail(
+        f"texts differ: lengths {len(got)} and {len(want)}, first difference at "
+        f"offset {at}\n got: {got[lo:hi]!r}\nwant: {want[lo:hi]!r}"
+    )
 
 
 def _kraus_obj(ops):
@@ -301,6 +321,18 @@ class TestFreedomSweepCommand:
         assert main(["freedom-sweep", "--dim", "2", "--rank", "17", "--trials", "1"]) == 1
         assert "rank <= 16" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rank", [17, 256])
+    def test_rank_over_the_cap_is_refused_before_sampling(self, capsys, monkeypatch, rank):
+        def refuse(*args):
+            raise AssertionError("sampled a rank the assignment DP refuses")
+
+        monkeypatch.setattr("covchan.cli._random_kraus_ops", refuse)
+        argv = ["freedom-sweep", "--dim", "32", "--rank", str(rank), "--trials", "1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the assignment DP is limited to rank <= 16\n"
+
     @pytest.mark.parametrize("flag", ["--dim", "--rank"])
     def test_unallocatable_size_exit_one(self, capsys, flag):
         # a 1e8-square matrix is hundreds of PiB: numpy refuses it at once
@@ -318,7 +350,7 @@ class TestFreedomSweepCommand:
         args = ["freedom-sweep", "--dim", "2", "--rank", "2", "--trials", "25", "--seed", "11"]
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        _assert_same_text(out1.read_bytes(), out2.read_bytes())
 
 
 class TestN1SearchCommand:
@@ -365,7 +397,7 @@ class TestN1SearchCommand:
         ]
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        _assert_same_text(out1.read_bytes(), out2.read_bytes())
 
 
 class TestScenarioCommand:
@@ -485,10 +517,10 @@ class TestScenarioCommand:
             results = json.loads(captured.out)["results"]
             assert results["verdict"] == "COVARIANT"
             want = run_scenario(parse_scenario_config(load_json(path), path, 1e-9))
-            for got, br in zip(results["branches"], want.branches):
-                for frame in ("state_s", "state_sprime"):
+            for got, states in zip(results["branches"], want.branches.states):
+                for frame, mat in zip(("state_s", "state_sprime"), states):
                     state = parse_matrix(got[frame], frame)
-                    assert np.array_equal(state, getattr(br, frame).mat)
+                    assert np.array_equal(state, mat)
 
     def test_huge_tol_runs(self, fixtures, capsys):
         # any positive finite tol is accepted, however large
@@ -999,6 +1031,22 @@ def _reference_jsonable(obj):
         return matrix_to_obj(obj.mat)
     if isinstance(obj, np.ndarray):
         return matrix_to_obj(obj)
+    if isinstance(obj, Branches):
+        # one object per leaf, its keys in the report schema's order
+        return [
+            _reference_jsonable(
+                {
+                    "sequence": seq,
+                    "probability_s": p_s,
+                    "probability_sprime": p_sp,
+                    "state_s": state_s if live_s else None,
+                    "state_sprime": state_sp if live_sp else None,
+                }
+            )
+            for (p_s, p_sp), (live_s, live_sp), (state_s, state_sp), seq in zip(
+                obj.probabilities.tolist(), obj.live.tolist(), obj.states, obj.sequences
+            )
+        ]
     if isinstance(obj, dict):
         return {k: _reference_jsonable(v) for k, v in obj.items()}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -1056,7 +1104,7 @@ def _null_state_scenario():
         "interventions": [{"label": "drop", "target": "JOINT", "kraus": keep_or_drop}] * 2,
     }
     result = run_scenario(parse_scenario_config(cfg, "cfg", 1e-9))
-    assert any(b.state_s is None for b in result.branches)
+    assert not result.branches.live[:, 0].all()
     return result
 
 
@@ -1076,7 +1124,7 @@ def _tree_4096():
     )
     result = run_scenario(cfg)
     assert len(result.branches) == 4096
-    assert all(b.state_s is not None and b.state_sprime is not None for b in result.branches)
+    assert result.branches.live.all()
     return result
 
 
@@ -1105,8 +1153,8 @@ def _one_step_tree(d, kraus=None, sprime=None):
 
 
 def _block_leaves(d):
-    """How many d-level leaves the writer renders as one block."""
-    return serialization._BLOCK // (2 * d * d)
+    """Leaves per writer block: each holds two complex d x d states."""
+    return linalg._BLOCK_BYTES // (2 * 16 * d * d)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1123,11 +1171,9 @@ def _block_trees():
         "scenario-d16": _one_step_tree(16, _isometry_set(_block_leaves(16) + 1, 16, 5)),
         "scenario-one-leaf": _one_step_tree(2, _isometry_set(1, 2, 6)),
     }
-    edge = trees["scenario-null-at-block-edge"].branches[step - 1 : step + 2]
-    assert edge[0].state_s is None and edge[0].state_sprime is None
-    assert edge[1].state_s is None and edge[1].state_sprime is not None
-    assert edge[2].state_s is not None and edge[2].state_sprime is None
-    assert trees["scenario-no-interventions"].branches[0].sequence == ()
+    edge = trees["scenario-null-at-block-edge"].branches.live[step - 1 : step + 2]
+    assert edge.tolist() == [[False, False], [False, True], [True, False]]
+    assert list(trees["scenario-no-interventions"].branches.sequences) == [()]
     return trees
 
 
@@ -1168,11 +1214,30 @@ class TestReportWriter:
     def test_matches_stdlib_indent(self, case, tmp_path):
         results = _writer_cases()[case]
         want = _reference_report(results)
-        assert _report(results) == want
+        _assert_same_text(_report(results), want)
         out = tmp_path / "report.json"
         dump_report(_envelope(results), str(out))
-        assert out.read_text(encoding="ascii") == want
+        _assert_same_text(out.read_text(encoding="ascii"), want)
         assert os.listdir(tmp_path) == ["report.json"]
+
+    @pytest.mark.parametrize("case", ["scenario-block-plus-one", "scenario-null-at-block-edge"])
+    def test_small_blocks_give_the_same_report(self, monkeypatch, case):
+        results = _block_trees()[case]
+        whole = _report(results)
+        blocks = []
+
+        def counting(mats, level):
+            blocks.append(len(mats))
+            return matrix_texts(mats, level)
+
+        matrix_texts = serialization._matrix_texts
+        monkeypatch.setattr(serialization, "_matrix_texts", counting)
+        # three leaves' two d = 2 states per block
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", 3 * 2 * 16 * 2 * 2)
+        _assert_same_text(_report(results), whole)
+        # one block per three leaves, then the two final states
+        assert len(blocks) == math.ceil(len(results.branches) / 3) + 2
+        assert max(blocks) <= 6
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_matrix_entry_raises_like_stdlib(self, bad):
@@ -1215,10 +1280,10 @@ class TestReportWriter:
         argv = argv[:1] + [fixtures.get(a, a) for a in argv[1:]]
         assert main(argv) == code
         text = capsys.readouterr().out
-        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        _assert_same_text(text, json.dumps(json.loads(text), indent=2) + "\n")
         out = fixtures["tmp"] / "round-trip.json"
         assert main(argv + ["--out", str(out)]) == code
-        assert out.read_text(encoding="ascii") == text
+        _assert_same_text(out.read_text(encoding="ascii"), text)
 
 
 def _awkward_floats():
@@ -1286,16 +1351,13 @@ class TestStreamedReport:
         if case == "tree-4096":
             results = _tree_4096()
             # envelope, results, branches, branch: the leaf states sit at level 4
-            matrix = max(
-                _matrix_text_length(rho.mat, 4)
-                for b in results.branches
-                for rho in (b.state_s, b.state_sprime)
-            )
+            states = results.branches.states
+            matrix = max(_matrix_text_length(rho, 4) for rho in states.reshape(-1, 2, 2))
         else:
             results = _d32_matrices()
             matrix = max(_matrix_text_length(m, 3) for m in results["ops"])
         writes = _report_writes(results)
-        assert "".join(writes) == _reference_report(results)
+        _assert_same_text("".join(writes), _reference_report(results))
         assert len(writes) > 1
         # plus at most 100 characters of keys, separators and brackets
         assert max(map(len, writes)) <= serialization._CHUNK + matrix + 100

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -184,10 +185,10 @@ class TestBellFixture:
                 initial_state=BELL, dim_a=2, dim_b=2, frame=IDENT4, interventions=(iv,)
             )
         )
-        outcome0 = next(b for b in res.branches if b.sequence == (0,))
+        outcome0 = list(res.branches.sequences).index((0,))
         want = np.zeros((4, 4), dtype=complex)
         want[0, 0] = 1.0
-        assert frobenius_distance(outcome0.state_s.mat, want) <= 1e-12
+        assert frobenius_distance(res.branches.states[outcome0, 0], want) <= 1e-12
 
     def test_mixed_branches_keep_statistics(self):
         iv = Intervention(
@@ -206,8 +207,8 @@ class TestBellFixture:
         assert res.verdict is Verdict.NONCOVARIANT_COMPATIBLE
         assert res.representation_distance > 1e-3
         # the S' branch states legitimately differ from the S ones
-        b0 = res.branches[0]
-        assert frobenius_distance(b0.state_s.mat, b0.state_sprime.mat) > 0.1
+        state_s, state_sp = res.branches.states[0]
+        assert frobenius_distance(state_s, state_sp) > 0.1
 
 
 def test_representation_swap_leaves_statistics_unchanged():
@@ -303,17 +304,16 @@ class TestRandomScenarios:
                     (rec_ab.probabilities_sprime, rec_ba.probabilities_sprime),
                 ):
                     assert np.allclose(probs_ab, probs_ba, rtol=0.0, atol=1e-12)
-            leaves_ba = {br.sequence[::-1]: br for br in res_ba.branches}
-            assert len(res_ab.branches) == len(leaves_ba) == 6
-            for br in res_ab.branches:
-                other = leaves_ba[br.sequence]
-                assert abs(br.probability_s - other.probability_s) <= 1e-12
-                assert abs(br.probability_sprime - other.probability_sprime) <= 1e-12
-                for a, b in (
-                    (br.state_s, other.state_s),
-                    (br.state_sprime, other.state_sprime),
-                ):
-                    assert frobenius_distance(a.mat, b.mat) <= 1e-12
+            ab, ba = res_ab.branches, res_ba.branches
+            leaves_ba = {seq[::-1]: i for i, seq in enumerate(ba.sequences)}
+            assert len(ab) == len(leaves_ba) == 6
+            for i, seq in enumerate(ab.sequences):
+                j = leaves_ba[seq]
+                assert np.allclose(
+                    ab.probabilities[i], ba.probabilities[j], rtol=0.0, atol=1e-12
+                )
+                for a, b in zip(ab.states[i], ba.states[j]):
+                    assert frobenius_distance(a, b) <= 1e-12
             for a, b in (
                 (res_ab.final_state_s, res_ba.final_state_s),
                 (res_ab.final_state_sprime, res_ba.final_state_sprime),
@@ -330,10 +330,10 @@ def test_null_branch_reported_as_none():
             initial_state=state, dim_a=2, dim_b=2, frame=IDENT4, interventions=(iv,)
         )
     )
-    dead = next(b for b in res.branches if b.sequence == (1,))
-    assert dead.probability_s <= 1e-12
-    assert dead.state_s is None
-    assert dead.state_sprime is None
+    dead = list(res.branches.sequences).index((1,))
+    assert res.branches.probabilities[dead, 0] <= 1e-12
+    assert not res.branches.live[dead].any()
+    assert np.isnan(res.branches.states[dead]).all()
 
 
 class TestBranchCap:
@@ -355,12 +355,11 @@ class TestBranchCap:
     def test_tree_at_the_cap(self):
         res = run_scenario(self._config(16))
         assert len(res.branches) == 65536
-        sequences = [b.sequence for b in res.branches]
+        sequences = list(res.branches.sequences)
         assert sequences == list(itertools.product((0, 1), repeat=16))
-        live = res.branches[0]
-        assert live.probability_s == live.probability_sprime == 1.0
-        assert live.state_s is not None and live.state_sprime is not None
-        assert all(b.state_s is None and b.state_sprime is None for b in res.branches[1:])
+        assert res.branches.probabilities[0].tolist() == [1.0, 1.0]
+        assert res.branches.live[0].all()
+        assert not res.branches.live[1:].any()
         assert res.verdict is Verdict.COVARIANT
 
     def test_tree_over_the_cap(self):
@@ -423,8 +422,7 @@ def _renormalized(mat, prob):
     if prob <= NULL_BRANCH_PROB:
         return None
     state = mat / prob
-    state = 0.5 * (state + dagger(state))
-    return DensityMatrix._from_stack(state[None])[0]
+    return 0.5 * (state + dagger(state))
 
 
 def _leaf_stacks(cfg):
@@ -447,21 +445,20 @@ class TestLeafStates:
 
     def _assert_matches_reference(self, cfg):
         res = run_scenario(cfg)
-        leaves_s, leaves_sp = _leaf_stacks(cfg)
-        assert len(res.branches) == len(leaves_s)
+        leaves = np.stack(_leaf_stacks(cfg), axis=1)
+        branches = res.branches
+        assert len(branches) == len(leaves)
+        assert not branches.states.flags.writeable
         live = 0
-        for br, mat_s, mat_sp in zip(res.branches, leaves_s, leaves_sp):
-            for state, mat, prob in (
-                (br.state_s, mat_s, br.probability_s),
-                (br.state_sprime, mat_sp, br.probability_sprime),
-            ):
+        for states, mats, probs in zip(branches.states, leaves, branches.probabilities):
+            for state, mat, prob in zip(states, mats, probs.tolist()):
                 want = _renormalized(mat, prob)
                 if want is None:
-                    assert state is None
+                    assert np.isnan(state).all()
                     continue
                 live += 1
-                assert not state.mat.flags.writeable
-                assert np.array_equal(state.mat, want.mat)
+                assert np.array_equal(state, want)
+        assert live == branches.live.sum()
         return res, live
 
     def test_d16_tree_with_null_leaves(self):
@@ -488,8 +485,7 @@ class TestLeafStates:
         assert len(res.branches) == 256
         # repeating the projective measurement nulls 12 of every 16 sequences
         assert live == 2 * 64
-        assert sum(br.state_s is None for br in res.branches) == 192
-        assert sum(br.state_sprime is None for br in res.branches) == 192
+        assert (~res.branches.live).sum(axis=0).tolist() == [192, 192]
 
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
     @pytest.mark.parametrize("p", [1.5e-12, 1.5e-11, 1.5e-10, 1.5e-9])
@@ -514,3 +510,67 @@ class TestLeafStates:
         res, live = self._assert_matches_reference(cfg)
         assert len(res.branches) == 65536
         assert live == 2
+
+
+def _table_configs():
+    """Trees for the leaf table: none, mixed ranks with null leaves, the cap."""
+    repeated_z = KrausSet([P0, P1])
+    mixed_ranks = ScenarioConfig(
+        initial_state=DensityMatrix(random_density(4, 71)),
+        dim_a=2,
+        dim_b=2,
+        frame=_product_frame(random_unitary(2, 72), random_unitary(2, 73)),
+        interventions=(
+            Intervention("z on A", repeated_z, Target.SUBSYSTEM_A),
+            Intervention("k on B", random_kraus_set(2, 3, 74), Target.SUBSYSTEM_B),
+            Intervention("z on A again", repeated_z, Target.SUBSYSTEM_A),
+        ),
+    )
+    keep_or_drop = Intervention("m", TestBranchCap.KEEP_OR_DROP, Target.JOINT)
+    return {
+        "no-interventions": ScenarioConfig(BELL, 2, 2, IDENT4, ()),
+        "mixed-ranks": mixed_ranks,
+        "d1-at-the-cap": ScenarioConfig(
+            DensityMatrix(np.ones((1, 1))), 1, 1, FrameTransform(np.ones((1, 1))),
+            (keep_or_drop,) * 16,
+        ),
+    }
+
+
+class TestBranchTable:
+    """``ScenarioResult.branches`` is one read-only table, one row per leaf."""
+
+    @pytest.mark.parametrize("case", sorted(_table_configs()))
+    def test_columns(self, case):
+        cfg = _table_configs()[case]
+        branches = run_scenario(cfg).branches
+        counts = [iv.kraus.rank for iv in cfg.interventions]
+        n, d = math.prod(counts), cfg.initial_state.dim
+        assert len(branches) == n
+        assert branches.counts.tolist() == counts
+        assert list(branches.sequences) == list(itertools.product(*map(range, counts)))
+        assert branches.probabilities.shape == branches.live.shape == (n, 2)
+        assert branches.states.shape == (n, 2, d, d)
+        live = branches.live
+        assert np.array_equal(live, ~(branches.probabilities <= NULL_BRANCH_PROB))
+        for column in (branches.counts, branches.probabilities, live, branches.states):
+            assert not column.flags.writeable
+        assert np.isnan(branches.states[~live]).all()
+        leaves = np.stack(_leaf_stacks(cfg), axis=1)[live]
+        want = [_renormalized(m, p) for m, p in zip(leaves, branches.probabilities[live])]
+        assert np.array_equal(branches.states[live], np.array(want))
+
+    def test_no_interventions_is_one_empty_sequence(self):
+        branches = run_scenario(_table_configs()["no-interventions"]).branches
+        assert list(branches.sequences) == [()]
+        assert branches.live.tolist() == [[True, True]]
+
+    def test_mixed_ranks_have_null_leaves_in_both_frames(self):
+        branches = run_scenario(_table_configs()["mixed-ranks"]).branches
+        # z on A twice nulls the sequences whose two z outcomes differ
+        null = [a != b for a, _, b in branches.sequences]
+        assert (~branches.live).tolist() == [[x, x] for x in null]
+
+    def test_sequences_start_afresh_on_each_read(self):
+        branches = run_scenario(_table_configs()["mixed-ranks"]).branches
+        assert list(branches.sequences) == list(branches.sequences)
