@@ -5,115 +5,23 @@ unitarily related frames, decide whether two frame accounts describe the
 same physical map, enumerate the mixing family of equivalent Kraus sets,
 and test the single-operator rigidity that pins the frame-transformed
 operator down to a global phase.
+
+The package exports every name in the ``__all__`` of ``channels``,
+``covariance``, ``linalg`` and ``scenario``, and ``__version__``.
 """
 
-from .channels import (
-    CHANNEL_EQUALITY_TOL,
-    COMPLETENESS_TOL,
-    DensityMatrix,
-    KrausSet,
-    apply_channel,
-    apply_kraus,
-    apply_to_matrix_units,
-    channels_equal,
-    choi_distance,
-    choi_matrix,
-    completeness_defect,
-    matrix_units,
-    random_kraus_set,
-    vec,
-)
-from .covariance import (
-    CovarianceReport,
-    FrameTransform,
-    MixingUnitary,
-    N1CheckResult,
-    N1SearchReport,
-    PhaseEquivalence,
-    Verdict,
-    analyze,
-    compatibility_residual,
-    conjugate_kraus,
-    covariant_distance,
-    extract_mixing,
-    make_noncovariant_solution,
-    mix_kraus,
-    n1_covariance_search,
-    n1_uniqueness_check,
-    phase_aligned_distance,
-    phase_permutation_distance,
-    transform_state,
-)
-from .linalg import (
-    as_cmatrix,
-    dagger,
-    frobenius_distance,
-    random_density,
-    random_unitary,
-    spawn_rng,
-    unitarity_defect,
-)
-from .scenario import (
-    Branches,
-    Intervention,
-    InterventionRecord,
-    ScenarioConfig,
-    ScenarioResult,
-    Target,
-    embed_local,
-    run_scenario,
-)
+from . import channels, covariance, linalg, scenario
+from .channels import *  # noqa: F403
+from .covariance import *  # noqa: F403
+from .linalg import *  # noqa: F403
+from .scenario import *  # noqa: F403
 
 __version__ = "0.2.0"
 
 __all__ = [
-    "CHANNEL_EQUALITY_TOL",
-    "COMPLETENESS_TOL",
-    "Branches",
-    "CovarianceReport",
-    "DensityMatrix",
-    "FrameTransform",
-    "Intervention",
-    "InterventionRecord",
-    "KrausSet",
-    "MixingUnitary",
-    "N1CheckResult",
-    "N1SearchReport",
-    "PhaseEquivalence",
-    "ScenarioConfig",
-    "ScenarioResult",
-    "Target",
-    "Verdict",
+    *channels.__all__,
+    *covariance.__all__,
+    *linalg.__all__,
+    *scenario.__all__,
     "__version__",
-    "analyze",
-    "apply_channel",
-    "apply_kraus",
-    "apply_to_matrix_units",
-    "as_cmatrix",
-    "channels_equal",
-    "choi_distance",
-    "choi_matrix",
-    "compatibility_residual",
-    "completeness_defect",
-    "conjugate_kraus",
-    "covariant_distance",
-    "dagger",
-    "embed_local",
-    "extract_mixing",
-    "frobenius_distance",
-    "make_noncovariant_solution",
-    "matrix_units",
-    "mix_kraus",
-    "n1_covariance_search",
-    "n1_uniqueness_check",
-    "phase_aligned_distance",
-    "phase_permutation_distance",
-    "random_density",
-    "random_kraus_set",
-    "random_unitary",
-    "run_scenario",
-    "spawn_rng",
-    "transform_state",
-    "unitarity_defect",
-    "vec",
 ]

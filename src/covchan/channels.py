@@ -18,7 +18,9 @@ builds the dense matrix, a plain read-only array, and is kept as the
 reference that the factored form is tested against.
 
 Each value is checked once, where it enters: sets derived from checked
-ones (conjugated, mixed, embedded) are wrapped without re-checking.
+ones (conjugated, mixed, embedded) are wrapped without re-checking. The
+completeness defect is ``linalg._gram_defects``, the kernel that the
+unitarity defects share.
 
 Every conjugation ``U M U^dagger`` is one product, ``_conjugate``; every
 operator sum goes through ``_kraus_images``, its batched branch images.
@@ -32,6 +34,7 @@ import numpy as np
 
 from .linalg import (
     _frobenius_norms,
+    _gram_defects,
     _haar_unitaries,
     as_cmatrix,
     dagger,
@@ -221,18 +224,12 @@ def _output_state(out: np.ndarray) -> DensityMatrix:
 
 def completeness_defect(k: KrausSet) -> float:
     """``|| sum_A K_A^dagger K_A - I ||_F``; zero iff trace-preserving."""
-    return _completeness_defects(np.asarray(k.ops)[None])[0]
-
-
-def _completeness_defects(ops: np.ndarray) -> list:
-    """The completeness defect of each set of an ``(n, N, d, d)`` stack."""
-    acc = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=-3)
-    return _frobenius_norms(acc - np.eye(ops.shape[-1]))
+    return _gram_defects(np.asarray(k.ops)[None])[0]
 
 
 def _check_completeness(ops: np.ndarray, tol: float) -> None:
     """``KrausSet``'s completeness gate on each set of an ``(n, N, d, d)`` stack."""
-    for defect in _completeness_defects(ops):
+    for defect in _gram_defects(ops):
         if defect > tol:
             raise ValueError(
                 f"completeness defect {defect:.3e} exceeds "

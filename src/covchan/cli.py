@@ -295,6 +295,9 @@ def _validate_flags(args) -> None:
     trials = getattr(args, "trials", None)
     if trials is not None and trials < 1:
         raise InputError("--trials must be >= 1")
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise InputError("--seed must be >= 0")
 
 
 def main(argv=None) -> int:

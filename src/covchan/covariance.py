@@ -26,6 +26,7 @@ from .channels import (
     COMPLETENESS_TOL,
     DensityMatrix,
     KrausSet,
+    _check_completeness,
     _conjugate,
     _derived_set,
     _factored_chois,
@@ -36,8 +37,8 @@ from .channels import (
 )
 from .linalg import (
     _blocks,
+    _gram_defects,
     _haar_unitaries,
-    _unitarity_defects,
     as_cmatrix,
     dagger,
     frobenius_distance,
@@ -105,7 +106,7 @@ class _Unitary:
 
 def _check_unitary(mats: np.ndarray, name: str, tol: float) -> None:
     """The unitarity gate of ``_Unitary`` on each matrix of an ``(n, d, d)`` stack."""
-    for defect in _unitarity_defects(mats):
+    for defect in _gram_defects(mats[:, None]):
         if defect > tol:
             raise ValueError(f"{name} is not unitary: defect {defect:.3e}")
 
@@ -360,16 +361,21 @@ def _witness_states(d: int):
     return np.array(states)
 
 
-def _check_single_op_unitary(mat: np.ndarray, name: str, tol: float) -> None:
-    # A one-operator set's unitarity defect is its completeness defect, so
-    # it gets parse_kraus_set's completeness gate.
-    gate = max(tol, COMPLETENESS_TOL)
-    defect = unitarity_defect(mat)
-    if defect > gate:
-        raise ValueError(
-            f"{name} fails the completeness condition for a single-operator "
-            f"set: ||K^dagger K - I||_F = {defect:.3e} exceeds {gate:.1e}"
-        )
+def _single_operator(mat, name: str, tol: float) -> np.ndarray:
+    """``mat`` checked as the one operator of a trace-preserving set.
+
+    Its unitarity defect is its completeness defect, so it gets
+    ``parse_kraus_set``'s completeness gate, at the looser of ``tol`` and
+    ``COMPLETENESS_TOL``; errors are prefixed with ``name``.
+    """
+    mat = as_cmatrix(mat, name=name)
+    if mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"{name} must be square, got {mat.shape}")
+    try:
+        _check_completeness(mat[None, None], max(tol, COMPLETENESS_TOL))
+    except ValueError as e:
+        raise ValueError(f"{name}: {e}") from e
+    return mat
 
 
 def n1_uniqueness_check(k1, l1, tol: float = CHANNEL_EQUALITY_TOL) -> N1CheckResult:
@@ -381,12 +387,10 @@ def n1_uniqueness_check(k1, l1, tol: float = CHANNEL_EQUALITY_TOL) -> N1CheckRes
     do not, a witness state with visibly different images is produced by
     scanning the spanning family of pure states (complete by linearity).
     """
-    k1 = as_cmatrix(k1, name="K1")
-    l1 = as_cmatrix(l1, name="L1")
-    if k1.shape != l1.shape or k1.shape[0] != k1.shape[1]:
+    k1 = _single_operator(k1, "K1", tol)
+    l1 = _single_operator(l1, "L1", tol)
+    if k1.shape != l1.shape:
         raise ValueError(f"operators must be square and same shape: {k1.shape} vs {l1.shape}")
-    _check_single_op_unitary(k1, "K1", tol)
-    _check_single_op_unitary(l1, "L1", tol)
 
     distance, phase = phase_aligned_distance(k1, l1)
     if distance <= tol:
@@ -513,14 +517,11 @@ def n1_covariance_search(
     product; every candidate's values are bitwise those of drawing and
     comparing it alone, so the report does not depend on the blocking.
     """
-    k1 = as_cmatrix(k1, name="K1")
-    if k1.shape[0] != k1.shape[1]:
-        raise ValueError(f"K1 must be square, got {k1.shape}")
+    k1 = _single_operator(k1, "K1", tol)
     if k1.shape[0] != f.dim:
         raise ValueError(f"dimension mismatch: K1 {k1.shape[0]} vs frame {f.dim}")
     if trials < 0:
         raise ValueError("trials must be >= 0")
-    _check_single_op_unitary(k1, "K1", tol)
 
     d = f.dim
     target = _conjugate(f.mat, k1)

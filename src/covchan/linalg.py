@@ -63,9 +63,15 @@ def _frobenius_norms(mats: np.ndarray) -> list:
     return [float(np.linalg.norm(m)) for m in mats]
 
 
-def _unitarity_defects(us: np.ndarray) -> list:
-    """``||U†U - I||_F`` for each matrix of an ``(n, d, d)`` stack."""
-    return _frobenius_norms(us.conj().swapaxes(-1, -2) @ us - np.eye(us.shape[-1]))
+def _gram_defects(ops: np.ndarray) -> list:
+    """``||sum_A A†A - I||_F`` for each set of an ``(n, N, d, d)`` stack.
+
+    The one kernel behind completeness and unitarity defects: a unitary
+    ``u`` is the one-operator set ``u[None]``, and a sum over one operator
+    is that operator's product bitwise.
+    """
+    acc = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=-3)
+    return _frobenius_norms(acc - np.eye(ops.shape[-1]))
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -73,7 +79,7 @@ def unitarity_defect(u: np.ndarray) -> float:
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
-    return _unitarity_defects(u[None])[0]
+    return _gram_defects(u[None, None])[0]
 
 
 def spawn_rng(seed: int, *path: int) -> np.random.Generator:

@@ -311,6 +311,26 @@ class TestFreedomSweepCommand:
         assert main(["freedom-sweep", "--tol", "-1"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["freedom-sweep", "n1-search"])
+    def test_negative_seed_is_refused_before_sampling(
+        self, fixtures, capsys, monkeypatch, command
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled with a negative seed")
+
+        monkeypatch.setattr("covchan.cli._random_kraus_ops", refuse)
+        monkeypatch.setattr("covchan.cli.n1_covariance_search", refuse)
+        argv = {
+            "freedom-sweep": ["freedom-sweep", "--seed", "-5"],
+            "n1-search": [
+                "n1-search", fixtures["k1_ident"], fixtures["lam_ident"], "--seed", "-1"
+            ],
+        }[command]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be >= 0\n"
+
     def test_rank_twelve_is_solved(self, capsys):
         # above rank 8, where enumerating permutations stopped
         assert main(["freedom-sweep", "--dim", "2", "--rank", "12", "--trials", "2"]) == 0
@@ -386,7 +406,12 @@ class TestN1SearchCommand:
             ["n1-search", fixtures["k1_bad"], fixtures["lam_ident"], "--trials", "5"]
         )
         assert code == 1
-        assert "completeness" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: K1: completeness defect 3.000e+00 exceeds 1.0e-09; "
+            "sum of K^dagger K is not the identity\n"
+        )
 
     def test_deterministic_bytes(self, fixtures):
         out1 = fixtures["tmp"] / "n1a.json"
@@ -552,16 +577,31 @@ class TestScenarioCommand:
         assert "65536 branches" in capsys.readouterr().err
 
 
+# scenario-file cases of _malformed_input: the top-level key and its bad value
+_SCENARIO_CASES = {
+    "tol-overflow": ("tol", 10**400),
+    "tol-zero": ("tol", 0),
+    "interventions-object": ("interventions", {}),
+}
+
+
 def _malformed_input(tmp, case):
     """``(path, field)`` of one malformed input file; field may be empty."""
     if case == "entry-overflow":
         obj = _kraus_obj([I2])
         obj["ops"][0]["data"][0][0] = 10**400
         return _write(tmp, "entry.json", obj), ".ops[0].data[0][0]"
-    if case == "tol-overflow":
+    if case == "dim-zero":
+        obj = dict(_kraus_obj([I2]), dim=0)
+        return _write(tmp, "dim0.json", obj), ".dim"
+    if case == "trace-preserving-int":
+        obj = dict(_kraus_obj([I2]), trace_preserving=1)
+        return _write(tmp, "tp.json", obj), ".trace_preserving"
+    if case in _SCENARIO_CASES:
         obj = json.loads((tmp / "scenario.json").read_text())
-        obj["tol"] = 10**400
-        return _write(tmp, "tol.json", obj), ".tol"
+        key, value = _SCENARIO_CASES[case]
+        obj[key] = value
+        return _write(tmp, f"{case}.json", obj), f".{key}"
     path = tmp / "bad.json"
     if case == "deep-nesting":
         path.write_text("[" * 200000 + "]" * 200000)
@@ -574,11 +614,21 @@ class TestMalformedInputFiles:
     """Each bad file gives exit 1 and one error line naming it, no traceback."""
 
     @pytest.mark.parametrize(
-        "case", ["entry-overflow", "tol-overflow", "deep-nesting", "not-utf8"]
+        "case",
+        [
+            "entry-overflow",
+            "tol-overflow",
+            "deep-nesting",
+            "not-utf8",
+            "dim-zero",
+            "trace-preserving-int",
+            "tol-zero",
+            "interventions-object",
+        ],
     )
     def test_single_error_line(self, fixtures, capsys, case):
         path, field = _malformed_input(fixtures["tmp"], case)
-        if case == "tol-overflow":
+        if case in _SCENARIO_CASES:
             argv = ["scenario", path]
         else:
             argv = ["analyze", path, fixtures["ident"], fixtures["lam_ident"]]
@@ -788,6 +838,50 @@ class TestOverflowingDerivedSet:
         results = json.loads(proc.stdout)["results"]
         assert results["verdict"] == "INCOMPATIBLE"
         assert results["residual"] is None and results["covariant_distance"] is None
+
+
+class TestPublicSurface:
+    """The package exports each module's ``__all__``, and ``__version__``."""
+
+    MODULES = ("channels", "covariance", "linalg", "scenario")
+
+    def test_all_is_the_module_lists(self):
+        modules = [getattr(covchan, name) for name in self.MODULES]
+        names = [name for module in modules for name in module.__all__]
+        assert covchan.__all__ == [*names, "__version__"]
+        assert len(set(covchan.__all__)) == len(covchan.__all__)
+        for name in (
+            "GRAM_MIN_EIGENVALUE",
+            "N1Violation",
+            "NULL_BRANCH_PROB",
+            "PHASE_DISTANCE_FLOOR",
+            "STATE_TOL",
+            "UNITARY_TOL",
+        ):
+            assert name in covchan.__all__
+
+    def test_each_name_is_its_module_object(self):
+        for module in (getattr(covchan, name) for name in self.MODULES):
+            for name in module.__all__:
+                obj = getattr(module, name)
+                assert getattr(covchan, name) is obj, name
+                assert getattr(obj, "__module__", module.__name__) == module.__name__, name
+
+    def test_star_import_under_warnings_as_errors(self):
+        src = os.path.dirname(os.path.dirname(covchan.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        code = (
+            "from covchan import *\n"
+            "import covchan\n"
+            "assert all(name in globals() for name in covchan.__all__)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-c", code],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
 
 class TestCliPlumbing:

@@ -61,6 +61,12 @@ H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 S2 = 1.0 / np.sqrt(2.0)
 
 PHASE_DAMPING = KrausSet([S2 * I2, S2 * Z])
+
+# the single-operator gate's error for diag(1, 2), by operator name
+N1_GATE = (
+    "{}: completeness defect 3.000e+00 exceeds 1.0e-09; "
+    "sum of K^dagger K is not the identity"
+)
 IDENT_FRAME = FrameTransform(I2)
 
 
@@ -72,6 +78,11 @@ class TestFrameTransform:
     def test_rejects_nonunitary(self):
         with pytest.raises(ValueError, match="unitary"):
             FrameTransform([[1.0, 0.0], [0.0, 2.0]])
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError) as exc:
+            FrameTransform(np.ones((2, 3)))
+        assert str(exc.value) == "frame transform must be square, got (2, 3)"
 
     def test_inverse_round_trip(self):
         f = FrameTransform(random_unitary(3, 5))
@@ -121,6 +132,11 @@ class TestConjugateKraus:
     def test_hadamard_turns_flip_into_phase(self):
         out = conjugate_kraus(KrausSet([X]), FrameTransform(H))
         assert frobenius_distance(out.ops[0], Z) <= 1e-12
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError) as exc:
+            conjugate_kraus(PHASE_DAMPING, FrameTransform(np.eye(3)))
+        assert str(exc.value) == "dimension mismatch: set 2 vs frame 3"
 
     def test_preserves_completeness_defect(self):
         for trial in range(50):
@@ -261,6 +277,19 @@ class TestAnalyze:
         rep = analyze(KrausSet([I2]), KrausSet([X]), IDENT_FRAME)
         assert rep.verdict is Verdict.INCOMPATIBLE
         assert rep.residual == pytest.approx(2.0 * np.sqrt(2.0))
+
+    @pytest.mark.parametrize(
+        "lprime, f, message",
+        [
+            (KrausSet([np.eye(3)]), IDENT_FRAME, "dimension mismatch: 2, 3, frame 2"),
+            (PHASE_DAMPING, FrameTransform(np.eye(3)), "dimension mismatch: 2, 2, frame 3"),
+        ],
+        ids=["set", "frame"],
+    )
+    def test_dimension_mismatch(self, lprime, f, message):
+        with pytest.raises(ValueError) as exc:
+            analyze(PHASE_DAMPING, lprime, f)
+        assert str(exc.value) == message
 
     def test_verdicts_partition(self):
         for trial in range(60):
@@ -435,14 +464,31 @@ class TestN1UniquenessCheck:
             assert frobenius_distance(*imgs) == pytest.approx(res.witness_distance)
 
     def test_rejects_nonunitary(self):
-        with pytest.raises(ValueError, match="completeness"):
+        with pytest.raises(ValueError, match="completeness") as exc:
             n1_uniqueness_check(np.diag([1.0, 2.0]), I2)
-        with pytest.raises(ValueError, match="completeness"):
+        assert str(exc.value) == N1_GATE.format("K1")
+        with pytest.raises(ValueError, match="completeness") as exc:
             n1_uniqueness_check(I2, np.diag([1.0, 2.0]))
+        assert str(exc.value) == N1_GATE.format("L1")
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="square"):
             n1_uniqueness_check(I2, np.eye(3))
+
+    @pytest.mark.parametrize(
+        "k1, l1, message",
+        [
+            (np.ones((2, 3)), I2, "K1 must be square, got (2, 3)"),
+            (I2, np.ones((3, 2)), "L1 must be square, got (3, 2)"),
+            (np.diag([np.nan, 1.0]), I2, "K1: entries must be finite"),
+            (I2, np.diag([1.0, np.inf]), "L1: entries must be finite"),
+        ],
+        ids=["k1-not-square", "l1-not-square", "k1-nan", "l1-inf"],
+    )
+    def test_rejects_bad_operator(self, k1, l1, message):
+        with pytest.raises(ValueError) as exc:
+            n1_uniqueness_check(k1, l1)
+        assert str(exc.value) == message
 
 
 class TestN1CovarianceSearch:
@@ -478,8 +524,24 @@ class TestN1CovarianceSearch:
         assert rep.best_phase_distance > rep.distance_floor
 
     def test_rejects_nonunitary(self):
-        with pytest.raises(ValueError, match="completeness"):
+        with pytest.raises(ValueError, match="completeness") as exc:
             n1_covariance_search(np.diag([1.0, 2.0]), IDENT_FRAME, trials=5, seed=0)
+        assert str(exc.value) == N1_GATE.format("K1")
+
+    @pytest.mark.parametrize(
+        "k1, trials, message",
+        [
+            (np.ones((2, 3)), 5, "K1 must be square, got (2, 3)"),
+            (np.diag([1.0, np.nan]), 5, "K1: entries must be finite"),
+            (np.eye(3), 5, "dimension mismatch: K1 3 vs frame 2"),
+            (I2, -1, "trials must be >= 0"),
+        ],
+        ids=["not-square", "nan", "frame-dim", "negative-trials"],
+    )
+    def test_rejects_bad_input(self, k1, trials, message):
+        with pytest.raises(ValueError) as exc:
+            n1_covariance_search(k1, IDENT_FRAME, trials=trials, seed=0)
+        assert str(exc.value) == message
 
 
 def _unitary_pair_residual(delta, d):

@@ -89,6 +89,8 @@ class TestEmbedLocal:
             embed_local(KrausSet([np.eye(3)]), Target.SUBSYSTEM_A, 2, 2)
         with pytest.raises(ValueError, match="joint"):
             embed_local(KrausSet([I2]), Target.JOINT, 2, 2)
+        with pytest.raises(ValueError, match=r"subsystem B \(2\)"):
+            embed_local(KrausSet([np.eye(3)]), Target.SUBSYSTEM_B, 2, 2)
 
 
 class TestInterventionValidation:
@@ -125,6 +127,16 @@ class TestInterventionValidation:
                 sprime_kraus=KrausSet([I2]),
             )
 
+    def test_rejects_override_dimension_mismatch(self):
+        three = KrausSet([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])])
+        with pytest.raises(ValueError) as exc:
+            Intervention(
+                label="z", kraus=Z_MEAS, target=Target.SUBSYSTEM_A, sprime_kraus=three
+            )
+        assert str(exc.value) == (
+            "intervention 'z': frame-S' set dimension 3 does not match 2"
+        )
+
     @pytest.mark.parametrize("scale", [0.5, 2.0])
     def test_requires_trace_preserving_frame_sprime_set(self, scale):
         branches = KrausSet([P0, scale * P1], trace_preserving=False)
@@ -135,6 +147,17 @@ class TestInterventionValidation:
 
 
 class TestScenarioConfigValidation:
+    @pytest.mark.parametrize("dim_a, dim_b", [(0, 4), (4, 0)])
+    def test_rejects_nonpositive_subsystem_dim(self, dim_a, dim_b):
+        with pytest.raises(ValueError, match="subsystem dimensions must be >= 1"):
+            ScenarioConfig(
+                initial_state=BELL,
+                dim_a=dim_a,
+                dim_b=dim_b,
+                frame=IDENT4,
+                interventions=(),
+            )
+
     def test_rejects_state_dim_mismatch(self):
         with pytest.raises(ValueError, match="dim_a"):
             ScenarioConfig(
