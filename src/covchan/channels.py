@@ -33,6 +33,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .linalg import (
+    _as_square,
     _frobenius_norms,
     _gram_defects,
     _haar_unitaries,
@@ -103,9 +104,7 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = as_cmatrix(self.mat, name="density matrix")
-        if mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {mat.shape}")
+        mat = _as_square(self.mat, "density matrix")
         herm = frobenius_distance(mat, dagger(mat))
         if herm > STATE_TOL:
             raise ValueError(f"density matrix is not Hermitian: defect {herm:.3e}")

@@ -93,6 +93,8 @@ def freedom_sweep(dim: int, rank: int, trials: int, seed: int, tol: float):
     """
     if dim < 1 or rank < 1 or trials < 1:
         raise InputError("dim, rank, and trials must all be >= 1")
+    if seed < 0:
+        raise InputError("seed must be >= 0")
     if rank > _DP_MAX_RANK:
         raise InputError(f"the assignment DP is limited to rank <= {_DP_MAX_RANK}")
     per_trial = []

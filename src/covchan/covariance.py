@@ -36,10 +36,10 @@ from .channels import (
     choi_distance,
 )
 from .linalg import (
+    _as_square,
     _blocks,
     _gram_defects,
     _haar_unitaries,
-    as_cmatrix,
     dagger,
     frobenius_distance,
     spawn_rng,
@@ -97,9 +97,7 @@ class _Unitary:
     _name = "unitary"  # names the matrix in validation errors
 
     def __post_init__(self, unitarity_tol: float):
-        mat = as_cmatrix(self.mat, name=self._name)
-        if mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"{self._name} must be square, got {mat.shape}")
+        mat = _as_square(self.mat, self._name)
         _check_unitary(mat[None], self._name, unitarity_tol)
         object.__setattr__(self, "mat", mat)
 
@@ -368,9 +366,7 @@ def _single_operator(mat, name: str, tol: float) -> np.ndarray:
     ``parse_kraus_set``'s completeness gate, at the looser of ``tol`` and
     ``COMPLETENESS_TOL``; errors are prefixed with ``name``.
     """
-    mat = as_cmatrix(mat, name=name)
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{name} must be square, got {mat.shape}")
+    mat = _as_square(mat, name)
     try:
         _check_completeness(mat[None, None], max(tol, COMPLETENESS_TOL))
     except ValueError as e:
@@ -522,6 +518,8 @@ def n1_covariance_search(
         raise ValueError(f"dimension mismatch: K1 {k1.shape[0]} vs frame {f.dim}")
     if trials < 0:
         raise ValueError("trials must be >= 0")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
 
     d = f.dim
     target = _conjugate(f.mat, k1)

@@ -40,6 +40,14 @@ def as_cmatrix(a, *, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _as_square(a, name: str) -> np.ndarray:
+    """``as_cmatrix(a, name=name)``, refused unless it is square."""
+    mat = as_cmatrix(a, name=name)
+    if mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"{name} must be square, got {mat.shape}")
+    return mat
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose. Exact involution: ``dagger(dagger(a))`` equals ``a`` bitwise."""
     return np.asarray(a).conj().T

@@ -74,8 +74,9 @@ class TestDensityMatrix:
             DensityMatrix(np.diag([1.5, -0.5]))
 
     def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError, match="square"):
+        with pytest.raises(ValueError) as exc:
             DensityMatrix(np.ones((2, 3)) / 6.0)
+        assert str(exc.value) == "density matrix must be square, got (2, 3)"
 
     def test_matrix_is_frozen(self):
         rho = DensityMatrix(np.diag([1.0, 0.0]))

@@ -10,14 +10,15 @@ import random
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import covchan
 from covchan import linalg, serialization
-from covchan.channels import DensityMatrix, KrausSet
-from covchan.cli import main
+from covchan.channels import DensityMatrix, KrausSet, random_kraus_set
+from covchan.cli import freedom_sweep, main
 from covchan.covariance import FrameTransform, Verdict, analyze
 from covchan.linalg import random_density, random_unitary, spawn_rng
 from covchan.serialization import (
@@ -169,6 +170,109 @@ class TestMatrixFileFormat:
             parse_matrix(
                 {"rows": 1, "cols": 1, "data": [[float("inf"), 0.0]]}, "m"
             )
+
+
+def _reference_parse(data, rows, cols):
+    """The per-entry reading: ``complex(float(re), float(im))`` for each pair."""
+    values = np.empty(rows * cols, dtype=np.complex128)
+    for i, (re, im) in enumerate(data):
+        values[i] = complex(float(re), float(im))
+    return values.reshape(rows, cols)
+
+
+def _random_set_data(seed):
+    """The ``data`` lists of a random d = 32, rank-16 set, one per operator."""
+    k = random_kraus_set(32, 16, spawn_rng(seed, 0))
+    return [matrix_to_obj(op)["data"] for op in k.ops]
+
+
+# Integers on either side of 2**63 and beyond, up to 10**300, most of them
+# not exact in a float: each must round as float() rounds it.
+_HUGE_INTS = [
+    2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64 + 2**11 + 1,
+    -(2**63) - 1, -(2**70) - 3, 3**500, -(7**300), 10**300, -(10**300) - 1,
+]
+
+
+class TestOnePassParse:
+    """``parse_matrix`` reads well-formed data in one pass, bitwise as the loop did.
+
+    Any other data takes the per-entry loop, which names the first bad
+    entry; the messages below are the ones that loop has always given.
+    """
+
+    def test_bitwise_as_per_entry_loop(self):
+        rng = random.Random(19)
+        for seed in range(3):
+            for data in _random_set_data(seed):
+                data = [list(pair) for pair in data]
+                data[: len(_HUGE_INTS)] = [[n, -n] for n in _HUGE_INTS]
+                for _ in range(40):
+                    data[rng.randrange(len(data))][rng.randrange(2)] = rng.choice(
+                        [-0.0, 0.0, 0, -1, 1, rng.choice(_HUGE_INTS),
+                         rng.randrange(-(10**300), 10**300)]
+                    )
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = parse_matrix({"rows": 32, "cols": 32, "data": data}, "m")
+                want = _reference_parse(data, 32, 32)
+                assert got.dtype == np.complex128 and got.shape == (32, 32)
+                # equal bytes: signs of zero and the last bit of every entry
+                assert got.tobytes() == want.tobytes()
+
+    def test_numpy_scalars_from_library_callers(self):
+        data = [[np.float64(0.5), 1.0], [2, np.float64(-0.0)]]
+        got = parse_matrix({"rows": 1, "cols": 2, "data": data}, "m")
+        assert got.tobytes() == _reference_parse(data, 1, 2).tobytes()
+
+    @pytest.mark.parametrize(
+        "bad, suffix",
+        [
+            (True, "[{i}][{j}]: expected a number"),
+            (False, "[{i}][{j}]: expected a number"),
+            (10**400, "[{i}][{j}]: number out of range"),
+            (-(10**400), "[{i}][{j}]: number out of range"),
+            (float("nan"), "[{i}][{j}]: must be finite"),
+            (float("inf"), "[{i}][{j}]: must be finite"),
+            (-float("inf"), "[{i}][{j}]: must be finite"),
+            ("1.0", "[{i}][{j}]: expected a number"),
+            ([1.0], "[{i}][{j}]: expected a number"),
+            (None, "[{i}][{j}]: expected a number"),
+        ],
+        ids=[
+            "true", "false", "huge", "huge-negative", "nan", "inf", "-inf",
+            "string", "nested-list", "null",
+        ],
+    )
+    def test_bad_number_names_its_slot(self, bad, suffix):
+        data = _random_set_data(1)[0]
+        for i, j in [(0, 0), (517, 1), (1023, 0)]:
+            mutant = [list(pair) for pair in data]
+            mutant[i][j] = bad
+            with pytest.raises(InputError) as exc:
+                parse_matrix({"rows": 32, "cols": 32, "data": mutant}, "m")
+            assert str(exc.value) == "m.data" + suffix.format(i=i, j=j)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[1.0], [1.0, 0.0, 0.0], [], "1.0", 1.0, None, (1.0, 0.0), {"re": 1.0}],
+        ids=["short", "long", "empty", "string", "number", "null", "tuple", "object"],
+    )
+    def test_bad_pair_names_its_entry(self, bad):
+        data = [list(pair) for pair in _random_set_data(2)[0]]
+        data[300] = bad
+        with pytest.raises(InputError) as exc:
+            parse_matrix({"rows": 32, "cols": 32, "data": data}, "m")
+        assert str(exc.value) == "m.data[300]: expected an [re, im] pair"
+
+    def test_first_bad_entry_is_named(self):
+        data = [list(pair) for pair in _random_set_data(3)[0]]
+        data[900][0] = True
+        data[40][1] = 10**400
+        data[600] = [0.0]
+        with pytest.raises(InputError) as exc:
+            parse_matrix({"rows": 32, "cols": 32, "data": data}, "m")
+        assert str(exc.value) == "m.data[40][1]: number out of range"
 
 
 class TestKrausFileFormat:
@@ -330,6 +434,16 @@ class TestFreedomSweepCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --seed must be >= 0\n"
+
+    @pytest.mark.parametrize("trials", [1, 5])
+    def test_library_call_rejects_negative_seed(self, monkeypatch, trials):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled with a negative seed")
+
+        monkeypatch.setattr("covchan.cli._random_kraus_ops", refuse)
+        with pytest.raises(ValueError) as exc:
+            freedom_sweep(2, 2, trials, -1, 1e-9)
+        assert str(exc.value) == "seed must be >= 0"
 
     def test_rank_twelve_is_solved(self, capsys):
         # above rank 8, where enumerating permutations stopped

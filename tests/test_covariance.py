@@ -543,6 +543,13 @@ class TestN1CovarianceSearch:
             n1_covariance_search(k1, IDENT_FRAME, trials=trials, seed=0)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("trials", [0, 1, 5])
+    def test_rejects_negative_seed(self, trials):
+        # the boundary candidate alone draws nothing: refused all the same
+        with pytest.raises(ValueError) as exc:
+            n1_covariance_search(I2, IDENT_FRAME, trials=trials, seed=-1)
+        assert str(exc.value) == "seed must be >= 0"
+
 
 def _unitary_pair_residual(delta, d):
     # Choi residual of two d x d unitaries at phase-aligned distance delta:
