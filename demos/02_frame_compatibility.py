@@ -2,9 +2,9 @@
 """Decide whether two frames' Kraus sets describe the same physical evolution.
 
 A channel given in frame S and a candidate set given in frame S' are
-compatible when the S' set, pulled back through the frame unitary, equals
-the S channel. Conjugating every operator always works; an unrelated set
-almost never does.
+compatible when the S' set gives the same channel as the covariant
+solution, the S set with every operator conjugated by the frame unitary.
+That solution itself always works; an unrelated set almost never does.
 """
 
 import numpy as np

@@ -227,7 +227,11 @@ def completeness_defect(k: KrausSet) -> float:
 
 
 def _check_completeness(ops: np.ndarray, tol: float) -> None:
-    """``KrausSet``'s completeness gate on each set of an ``(n, N, d, d)`` stack."""
+    """``KrausSet``'s completeness gate on each set of an ``(n, N, d, d)`` stack.
+
+    It checks at ``tol`` but never tighter than ``COMPLETENESS_TOL``.
+    """
+    tol = max(COMPLETENESS_TOL, tol)
     for defect in _gram_defects(ops):
         if defect > tol:
             raise ValueError(

@@ -206,9 +206,7 @@ def cmd_n1_search(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    cfg = parse_scenario_config(
-        load_json(args.config_file), args.config_file, CHANNEL_EQUALITY_TOL
-    )
+    cfg = parse_scenario_config(load_json(args.config_file), args.config_file)
     result = run_scenario(cfg)
     _log(
         "info",
@@ -218,7 +216,7 @@ def cmd_scenario(args) -> int:
     )
     report = run_report("scenario", 0, cfg.tol, 0, result, __version__)
     dump_report(report, args.out)
-    return 0 if result.covariance_defect <= cfg.tol else 2
+    return 2 if result.verdict is Verdict.INCOMPATIBLE else 0
 
 
 def _add_common(parser, *, trials: bool) -> None:

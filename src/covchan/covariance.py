@@ -2,8 +2,9 @@
 
 The physical question: an observer in frame S describes an evolution with
 Kraus set {K_A}; an observer in frame S' uses {L'_A}. States transform
-covariantly, ``rho' = Lam rho Lam^dagger``. The two accounts are compatible
-when the pulled-back S' channel equals the S channel on every state, which
+covariantly, ``rho' = Lam rho Lam^dagger``, so the S channel seen from S'
+is that of the covariant solution ``Lam K_A Lam^dagger``. The two accounts
+are compatible when the S' set gives that channel on every state, which
 the Choi oracle decides exactly. Compatibility does NOT force operator
 covariance ``L'_A = Lam K_A Lam^dagger`` once the set has more than one
 element: mixing the covariant solution by any unitary gives a continuum of
@@ -23,7 +24,6 @@ import numpy as np
 
 from .channels import (
     CHANNEL_EQUALITY_TOL,
-    COMPLETENESS_TOL,
     DensityMatrix,
     KrausSet,
     _check_completeness,
@@ -103,7 +103,11 @@ class _Unitary:
 
 
 def _check_unitary(mats: np.ndarray, name: str, tol: float) -> None:
-    """The unitarity gate of ``_Unitary`` on each matrix of an ``(n, d, d)`` stack."""
+    """The unitarity gate of ``_Unitary`` on each matrix of an ``(n, d, d)`` stack.
+
+    It checks at ``tol`` but never tighter than ``UNITARY_TOL``.
+    """
+    tol = max(UNITARY_TOL, tol)
     for defect in _gram_defects(mats[:, None]):
         if defect > tol:
             raise ValueError(f"{name} is not unitary: defect {defect:.3e}")
@@ -121,12 +125,7 @@ class FrameTransform(_Unitary):
 
     def inverse(self) -> "FrameTransform":
         """``Lam^dagger``, as unitary as ``Lam`` was when it was accepted."""
-        return _trusted(FrameTransform, mat=_inverse_frames(self.mat))
-
-
-def _inverse_frames(f: np.ndarray) -> np.ndarray:
-    """The stored ``Lam^dagger`` of one frame or a stack: contiguous, read-only."""
-    return _readonly(f.conj().swapaxes(-1, -2))
+        return _trusted(FrameTransform, mat=_readonly(dagger(self.mat)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,8 +158,8 @@ class Verdict(enum.Enum):
 class CovarianceReport:
     """Outcome of comparing frame-S and frame-S' channel descriptions.
 
-    residual: Choi distance between the S channel and the pulled-back S'
-        channel; zero means the two frames describe the same physical map.
+    residual: Choi distance from the covariant solution to the S' set;
+        zero means the two frames describe the same physical map.
     covariant_distance: worst per-operator distance from the element-wise
         conjugated set, raw (no phase alignment); infinity when the ranks
         differ so no pairing exists.
@@ -200,14 +199,14 @@ def _check_dims(k: KrausSet, lprime: KrausSet, f: FrameTransform) -> None:
 def compatibility_residual(k: KrausSet, lprime: KrausSet, f: FrameTransform) -> float:
     """How far the two frame accounts are from describing the same map.
 
-    Pulls the S' set back through the inverse frame and takes the Choi
-    distance to the S set. Zero (within tolerance) exactly when
-    ``sum_A K_A rho K_A^dagger`` and the back-transformed
-    ``sum_A Lam^dagger L'_A Lam rho Lam^dagger L'_A^dagger Lam`` agree for
-    every state, with no sampling involved.
+    The Choi distance from the covariant solution ``Lam K_A Lam^dagger`` to
+    the S' set. Zero (within tolerance) exactly when
+    ``sum_A Lam K_A Lam^dagger rho Lam K_A^dagger Lam^dagger`` and
+    ``sum_A L'_A rho L'_A^dagger`` agree for every state, with no sampling
+    involved.
     """
     _check_dims(k, lprime, f)
-    return choi_distance(k, conjugate_kraus(lprime, f.inverse()))
+    return choi_distance(conjugate_kraus(k, f), lprime)
 
 
 def mix_kraus(k: KrausSet, v: MixingUnitary) -> KrausSet:
@@ -248,13 +247,13 @@ def _mixed_solution_trials(k: np.ndarray, f: np.ndarray, v: np.ndarray) -> list:
     :func:`compatibility_residual`, :func:`covariant_distance` (or
     :func:`phase_aligned_distance` at rank 1) and
     :func:`phase_permutation_distance`, through the stacked cores those
-    run as one-member cases, so its values are bitwise theirs. Products of
-    unitary blocks cannot overflow, so no finiteness check is needed.
+    run as one-member cases, so its values are bitwise theirs; the residual
+    is measured against the covariant solution. Products of unitary blocks
+    cannot overflow, so no finiteness check is needed.
     """
     covariant = _conjugate(f[:, None], k)
     lprime = _mix(v, covariant)
-    pulled = _conjugate(_inverse_frames(f)[:, None], lprime)
-    residuals, _ = _factored_chois(k, pulled)
+    residuals, _ = _factored_chois(covariant, lprime)
     if k.shape[1] == 1:
         distances = [
             phase_aligned_distance(c[0], l[0])[0] for c, l in zip(covariant, lprime)
@@ -363,12 +362,12 @@ def _single_operator(mat, name: str, tol: float) -> np.ndarray:
     """``mat`` checked as the one operator of a trace-preserving set.
 
     Its unitarity defect is its completeness defect, so it gets
-    ``parse_kraus_set``'s completeness gate, at the looser of ``tol`` and
-    ``COMPLETENESS_TOL``; errors are prefixed with ``name``.
+    ``parse_kraus_set``'s completeness gate at ``tol``; errors are prefixed
+    with ``name``.
     """
     mat = _as_square(mat, name)
     try:
-        _check_completeness(mat[None, None], max(tol, COMPLETENESS_TOL))
+        _check_completeness(mat[None, None], tol)
     except ValueError as e:
         raise ValueError(f"{name}: {e}") from e
     return mat
@@ -386,7 +385,7 @@ def n1_uniqueness_check(k1, l1, tol: float = CHANNEL_EQUALITY_TOL) -> N1CheckRes
     k1 = _single_operator(k1, "K1", tol)
     l1 = _single_operator(l1, "L1", tol)
     if k1.shape != l1.shape:
-        raise ValueError(f"operators must be square and same shape: {k1.shape} vs {l1.shape}")
+        raise ValueError(f"shape mismatch: K1 {k1.shape} vs L1 {l1.shape}")
 
     distance, phase = phase_aligned_distance(k1, l1)
     if distance <= tol:

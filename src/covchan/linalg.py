@@ -42,10 +42,14 @@ def as_cmatrix(a, *, name: str = "matrix") -> np.ndarray:
 
 def _as_square(a, name: str) -> np.ndarray:
     """``as_cmatrix(a, name=name)``, refused unless it is square."""
-    mat = as_cmatrix(a, name=name)
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{name} must be square, got {mat.shape}")
-    return mat
+    return _square(as_cmatrix(a, name=name), name)
+
+
+def _square(a: np.ndarray, name: str) -> np.ndarray:
+    """``a`` as it is, refused unless it is a square matrix."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be square, got {a.shape}")
+    return a
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -83,10 +87,8 @@ def _gram_defects(ops: np.ndarray) -> list:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """``||U†U - I||_F``; zero exactly when ``u`` is unitary."""
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {u.shape}")
+    """``||U†U - I||_F``: zero exactly when ``u`` is unitary, NaN if it has a NaN."""
+    u = _square(np.asarray(u), "matrix")
     return _gram_defects(u[None, None])[0]
 
 

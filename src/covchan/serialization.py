@@ -36,7 +36,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .channels import COMPLETENESS_TOL, DensityMatrix, KrausSet
+from .channels import CHANNEL_EQUALITY_TOL, COMPLETENESS_TOL, DensityMatrix, KrausSet
 from .covariance import UNITARY_TOL, FrameTransform, MixingUnitary
 from .linalg import _blocks
 from .scenario import Branches, Intervention, ScenarioConfig, Target
@@ -159,7 +159,7 @@ def parse_kraus_set(obj, path: str, tol: float = COMPLETENESS_TOL) -> KrausSet:
     """Read ``{"dim": d, "ops": [matrix, ...]}`` into a KrausSet.
 
     ``"trace_preserving": false`` admits branch subsets; completeness of
-    flagged sets is checked at the looser of the default and ``tol``.
+    flagged sets is checked at ``tol``, never tighter than the default.
     """
     dim = _as_int(_get(obj, "dim", path), f"{path}.dim", minimum=1)
     ops_obj = _get(obj, "ops", path)
@@ -176,15 +176,12 @@ def parse_kraus_set(obj, path: str, tol: float = COMPLETENESS_TOL) -> KrausSet:
     tp = obj.get("trace_preserving", True)
     if not isinstance(tp, bool):
         raise InputError(f"{path}.trace_preserving: expected a boolean")
-    return _checked(
-        path, KrausSet, ops, trace_preserving=tp,
-        completeness_tol=max(COMPLETENESS_TOL, tol),
-    )
+    return _checked(path, KrausSet, ops, trace_preserving=tp, completeness_tol=tol)
 
 
 def parse_frame(obj, path: str, tol: float = UNITARY_TOL) -> FrameTransform:
     mat = parse_matrix(obj, path)
-    return _checked(path, FrameTransform, mat, unitarity_tol=max(UNITARY_TOL, tol))
+    return _checked(path, FrameTransform, mat, unitarity_tol=tol)
 
 
 def parse_density(obj, path: str) -> DensityMatrix:
@@ -194,7 +191,7 @@ def parse_density(obj, path: str) -> DensityMatrix:
 _TARGETS = {t.value: t for t in Target}
 
 
-def parse_scenario_config(obj, path: str, default_tol: float) -> ScenarioConfig:
+def parse_scenario_config(obj, path: str) -> ScenarioConfig:
     """Read a scenario file: dims, initial state, frame, interventions.
 
     Schema:
@@ -204,7 +201,7 @@ def parse_scenario_config(obj, path: str, default_tol: float) -> ScenarioConfig:
     "sprime_kraus": optional kraus_set}, ...]}``
     """
     _as_object(obj, path)
-    tol = default_tol
+    tol = CHANNEL_EQUALITY_TOL
     if "tol" in obj:
         tol = _as_real(obj["tol"], f"{path}.tol")
         if tol <= 0:
@@ -235,8 +232,7 @@ def parse_scenario_config(obj, path: str, default_tol: float) -> ScenarioConfig:
         if iv_obj.get("mixing") is not None:
             mat = parse_matrix(iv_obj["mixing"], f"{iv_path}.mixing")
             mixing = _checked(
-                f"{iv_path}.mixing", MixingUnitary, mat,
-                unitarity_tol=max(UNITARY_TOL, tol),
+                f"{iv_path}.mixing", MixingUnitary, mat, unitarity_tol=tol
             )
         sprime = None
         if iv_obj.get("sprime_kraus") is not None:

@@ -19,7 +19,7 @@ import covchan
 from covchan import linalg, serialization
 from covchan.channels import DensityMatrix, KrausSet, random_kraus_set
 from covchan.cli import freedom_sweep, main
-from covchan.covariance import FrameTransform, Verdict, analyze
+from covchan.covariance import FrameTransform, Verdict, analyze, conjugate_kraus
 from covchan.linalg import random_density, random_unitary, spawn_rng
 from covchan.serialization import (
     InputError,
@@ -302,7 +302,7 @@ def test_scenario_config_bad_target_named():
         "interventions": [{"target": "C", "kraus": _kraus_obj([np.eye(1)])}],
     }
     with pytest.raises(InputError, match=r"interventions\[0\]\.target"):
-        parse_scenario_config(obj, "cfg", 1e-9)
+        parse_scenario_config(obj, "cfg")
 
 
 @pytest.mark.parametrize("target", [["A"], {"A": 1}, 5, None])
@@ -316,7 +316,7 @@ def test_scenario_config_non_string_target_named(target):
         "interventions": [{"target": target, "kraus": _kraus_obj([np.eye(1)])}],
     }
     with pytest.raises(InputError, match=r"interventions\[0\]\.target"):
-        parse_scenario_config(obj, "cfg", 1e-9)
+        parse_scenario_config(obj, "cfg")
 
 
 class TestAnalyzeCommand:
@@ -377,6 +377,22 @@ class TestAnalyzeCommand:
         captured = capsys.readouterr()
         assert code == 0, captured.err
         assert json.loads(captured.out)["results"]["verdict"] == "COVARIANT"
+
+    def test_covariant_solution_at_the_frame_gate(self, fixtures, capsys):
+        # unitarity defect 8.5e-9, within --tol 1e-8; the conjugated set's
+        # completeness defect is 1.7e-8, so it enters as a selective set
+        f = FrameTransform(random_unitary(2, 3) * (1.0 + 3e-9), unitarity_tol=1e-8)
+        lam = _write(fixtures["tmp"], "lam_edge.json", matrix_to_obj(f.mat))
+        cov = conjugate_kraus(KrausSet([I2]), f).ops
+        lp = _write(
+            fixtures["tmp"], "cov.json", dict(_kraus_obj(cov), trace_preserving=False)
+        )
+        code = main(["analyze", fixtures["ident"], lp, lam, "--tol", "1e-8"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        results = json.loads(captured.out)["results"]
+        assert results["verdict"] == "COVARIANT"
+        assert results["residual"] == 0.0
 
     def test_report_structure(self, fixtures, capsys):
         main(["analyze", fixtures["ident"], fixtures["ident"], fixtures["lam_ident"]])
@@ -655,7 +671,7 @@ class TestScenarioCommand:
             assert code == 0, captured.err
             results = json.loads(captured.out)["results"]
             assert results["verdict"] == "COVARIANT"
-            want = run_scenario(parse_scenario_config(load_json(path), path, 1e-9))
+            want = run_scenario(parse_scenario_config(load_json(path), path))
             for got, states in zip(results["branches"], want.branches.states):
                 for frame, mat in zip(("state_s", "state_sprime"), states):
                     state = parse_matrix(got[frame], frame)
@@ -897,6 +913,17 @@ class TestParserFuzz:
 class TestOverflowingDerivedSet:
     """Overflow in a derived set or a leaf is reported by one error line, no warnings."""
 
+    @staticmethod
+    def _covchan(flags, argv):
+        """``python FLAGS -m covchan ARGV`` in a child, importing this package."""
+        src = os.path.dirname(os.path.dirname(covchan.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        return subprocess.run(
+            [sys.executable, *flags, "-m", "covchan", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
     @pytest.mark.parametrize("flags", [[], ["-X", "dev", "-W", "error"]], ids=["plain", "dev"])
     def test_stderr_is_one_error_line(self, fixtures, flags):
         tmp = fixtures["tmp"]
@@ -913,7 +940,7 @@ class TestOverflowingDerivedSet:
         finite = "error: Kraus operator 0: entries must be finite\n"
         cases = [
             (["analyze", big, big, had], finite),
-            # one big set: the Choi residual overflows before the conjugate does
+            # one big set on the S side: its conjugate overflows
             (["analyze", big, fixtures["ident"], had], finite),
             (
                 ["scenario", tree],
@@ -921,17 +948,27 @@ class TestOverflowingDerivedSet:
                 "entries must be finite\n",
             ),
         ]
-        src = os.path.dirname(os.path.dirname(covchan.__file__))
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
         for argv, stderr in cases:
-            proc = subprocess.run(
-                [sys.executable, *flags, "-m", "covchan", *argv],
-                capture_output=True, text=True, env=env, timeout=120,
-            )
+            proc = self._covchan(flags, argv)
             assert proc.returncode == 1
             assert proc.stdout == ""
             assert proc.stderr == stderr
+
+    @pytest.mark.parametrize("flags", [[], ["-X", "dev", "-W", "error"]], ids=["plain", "dev"])
+    def test_big_sprime_set_is_not_conjugated(self, fixtures, flags):
+        # only the S set is carried through the frame, so a finite S' set
+        # too large to conjugate gives a non-finite residual, not an error
+        tmp = fixtures["tmp"]
+        big = dict(_kraus_obj([np.full((2, 2), 1e308 + 0j)]), trace_preserving=False)
+        big = _write(tmp, "big.json", big)
+        had = _write(tmp, "h.json", matrix_to_obj(S2 * np.array([[1, 1], [1, -1]])))
+        argv = ["analyze", fixtures["ident"], big, had]
+        proc = self._covchan(flags, argv)
+        assert proc.stderr == ""
+        assert proc.returncode == 2
+        results = json.loads(proc.stdout)["results"]
+        assert results["verdict"] == "INCOMPATIBLE"
+        assert results["residual"] is None
 
     @pytest.mark.parametrize("flags", [[], ["-X", "dev", "-W", "error"]], ids=["plain", "dev"])
     def test_nonfinite_residual_reads_incompatible(self, fixtures, flags):
@@ -940,13 +977,7 @@ class TestOverflowingDerivedSet:
         big = dict(_kraus_obj([np.full((2, 2), 1e200 + 0j)]), trace_preserving=False)
         big = _write(tmp, "big.json", big)
         argv = ["analyze", big, fixtures["ident"], fixtures["lam_ident"]]
-        src = os.path.dirname(os.path.dirname(covchan.__file__))
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "covchan", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = self._covchan(flags, argv)
         assert proc.stderr == ""
         assert proc.returncode == 2
         results = json.loads(proc.stdout)["results"]
@@ -1311,7 +1342,7 @@ def _null_state_scenario():
         "frame": one,
         "interventions": [{"label": "drop", "target": "JOINT", "kraus": keep_or_drop}] * 2,
     }
-    result = run_scenario(parse_scenario_config(cfg, "cfg", 1e-9))
+    result = run_scenario(parse_scenario_config(cfg, "cfg"))
     assert not result.branches.live[:, 0].all()
     return result
 
@@ -1623,7 +1654,7 @@ class TestStreamedReport:
         assert len(captured.out) > failing_report - serialization._CHUNK
         # what was written is the start of the report, up to the bad matrix
         path = fixtures["scenario"]
-        cfg = parse_scenario_config(load_json(path), path, 1e-9)
+        cfg = parse_scenario_config(load_json(path), path)
         finite = {"tree": _tree_4096(), "results": run_scenario(cfg), "bad": np.eye(2)}
         envelope = run_report("scenario", 0, 1e-9, 0, finite, covchan.__version__)
         assert json.dumps(_reference_jsonable(envelope), indent=2).startswith(captured.out)

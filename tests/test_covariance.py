@@ -170,14 +170,22 @@ class TestCompatibilityResidual:
 
     def test_pull_back_equals_push_forward(self):
         # conjugation by a unitary preserves Frobenius distances between
-        # Choi matrices, so both residual conventions agree
-        for trial in range(30):
-            k = random_kraus_set(2, 3, spawn_rng(53, trial, 0))
-            lp = random_kraus_set(2, 3, spawn_rng(53, trial, 1))
-            f = FrameTransform(random_unitary(2, spawn_rng(53, trial, 2)))
-            pull = compatibility_residual(k, lp, f)
-            push = choi_distance(conjugate_kraus(k, f), lp)
-            assert abs(pull - push) <= 1e-12
+        # Choi matrices, so the residual against the covariant solution
+        # equals the S set's distance to the pulled-back S' set, and both
+        # equal the dense oracle's
+        for d, rank in itertools.product([2, 8, 32], [1, 4, 16]):
+            k = random_kraus_set(d, rank, spawn_rng(53, d, rank, 0))
+            f = FrameTransform(random_unitary(d, spawn_rng(53, d, rank, 1)))
+            v = MixingUnitary(random_unitary(rank, spawn_rng(53, d, rank, 2)))
+            independent = random_kraus_set(d, rank, spawn_rng(53, d, rank, 3))
+            for lp in (independent, make_noncovariant_solution(k, f, v)):
+                push = compatibility_residual(k, lp, f)
+                pull = choi_distance(k, conjugate_kraus(lp, f.inverse()))
+                dense = frobenius_distance(
+                    choi_matrix(conjugate_kraus(k, f)), choi_matrix(lp)
+                )
+                assert abs(push - pull) <= 1e-12, (d, rank)
+                assert abs(push - dense) <= 1e-12, (d, rank)
 
     @pytest.mark.parametrize("d", [2, 8, 32])
     def test_verdict_at_tolerance_matches_dense_oracle(self, d):
@@ -409,6 +417,41 @@ class TestToleranceEdge:
         rep = analyze(KrausSet([I2]), KrausSet([I2]), f, tol=1e-6)
         assert rep.verdict is Verdict.COVARIANT
 
+    def test_constructor_tolerance_never_tightens_the_default(self):
+        # defects within the defaults pass whatever tighter tol is asked for
+        ops = [np.diag([np.sqrt(1.0 + 5e-10), 1.0])]
+        assert completeness_defect(KrausSet(ops, completeness_tol=1e-12)) > 1e-12
+        lam = random_unitary(2, 3) * (1.0 + 3e-11)
+        assert unitarity_defect(FrameTransform(lam, unitarity_tol=1e-13).mat) > 1e-13
+        assert MixingUnitary(lam, unitarity_tol=1e-13).rank == 2
+        # and a refusal names the tolerance it checked at
+        with pytest.raises(ValueError, match="exceeds 1.0e-09"):
+            KrausSet([np.diag([np.sqrt(1.0 + 2e-9), 1.0])], completeness_tol=1e-12)
+
+    # unitarity defect 8.5e-9: accepted at tol 1e-8, and its conjugates carry
+    # the scale to the fourth power, past tol as a completeness defect
+    EDGE_SETS = [KrausSet([I2]), random_kraus_set(2, 3, 5)]
+
+    @staticmethod
+    def _edge_frame():
+        return FrameTransform(random_unitary(2, 3) * (1.0 + 3e-9), unitarity_tol=1e-8)
+
+    @pytest.mark.parametrize("k", EDGE_SETS, ids=["identity", "rank3"])
+    def test_covariant_solution_at_the_frame_gate(self, k):
+        f = self._edge_frame()
+        assert 8e-9 < unitarity_defect(f.mat) <= 1e-8
+        rep = analyze(k, conjugate_kraus(k, f), f, tol=1e-8)
+        assert rep.verdict is Verdict.COVARIANT
+        assert rep.residual == 0.0 and rep.covariant_distance == 0.0
+
+    @pytest.mark.parametrize("k", EDGE_SETS, ids=["identity", "rank3"])
+    def test_mixed_solution_at_the_frame_gate(self, k):
+        f = self._edge_frame()
+        v = MixingUnitary(random_unitary(k.rank, 7))
+        rep = analyze(k, make_noncovariant_solution(k, f, v), f, tol=1e-8)
+        assert rep.verdict is Verdict.NONCOVARIANT_COMPATIBLE
+        assert rep.residual <= 1e-15
+
 
 class TestPhaseAlignedDistance:
     def test_recovers_phase(self):
@@ -472,8 +515,10 @@ class TestN1UniquenessCheck:
         assert str(exc.value) == N1_GATE.format("L1")
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError, match="square"):
+        # both operators have passed the square check; only their sizes differ
+        with pytest.raises(ValueError) as exc:
             n1_uniqueness_check(I2, np.eye(3))
+        assert str(exc.value) == "shape mismatch: K1 (2, 2) vs L1 (3, 3)"
 
     @pytest.mark.parametrize(
         "k1, l1, message",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -172,5 +174,13 @@ class TestSpawnRng:
 def test_unitarity_defect_flags_nonunitary():
     assert unitarity_defect(I2) == 0.0
     assert unitarity_defect(2 * I2) == pytest.approx(np.sqrt(2) * 3)
-    with pytest.raises(ValueError, match="square"):
+    with pytest.raises(ValueError) as exc:
         unitarity_defect(np.ones((2, 3)))
+    assert str(exc.value) == "matrix must be square, got (2, 3)"
+
+
+def test_unitarity_defect_passes_nan_through():
+    # extract_mixing refuses a non-finite V through its NaN defect
+    u = np.eye(2, dtype=complex)
+    u[0, 1] = np.nan
+    assert math.isnan(unitarity_defect(u))
