@@ -10,6 +10,19 @@ The package exports every name in the ``__all__`` of ``channels``,
 ``covariance``, ``linalg`` and ``scenario``, and ``__version__``.
 """
 
+import os
+import sys
+
+# A CLI job runs small kernels, where an idle BLAS pool only burns CPU: it
+# runs BLAS on one thread unless the user chose a count. ``python -m covchan``
+# imports the package while ``sys.argv[0]`` is "-m"; the ``covchan`` script
+# is its own argv[0]. Other importers keep numpy's default.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_entry = os.path.splitext(os.path.basename((sys.argv or [""])[0]))[0]
+if _entry in ("-m", "covchan") and "numpy" not in sys.modules:
+    if not any(name in os.environ for name in _THREAD_VARS):
+        os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))
+
 from . import channels, covariance, linalg, scenario
 from .channels import *  # noqa: F403
 from .covariance import *  # noqa: F403

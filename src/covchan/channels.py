@@ -28,6 +28,7 @@ operator sum goes through ``_kraus_images``, its batched branch images.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ from .linalg import (
     _frobenius_norms,
     _gram_defects,
     _haar_unitaries,
+    _scaled,
     as_cmatrix,
     dagger,
     frobenius_distance,
@@ -278,8 +280,11 @@ def _factored_chois(k: np.ndarray, l: np.ndarray):
     vecs alone. The distance is ``||R J R^dagger||_F``, never the Gram
     expansion, which cancels catastrophically (to about 1e-7 at d = 32)
     exactly where channels are equal. Bitwise equal sets are exactly 0.0
-    apart, which QR roundoff would not give. Overflow warnings are
-    silenced, so that a caller's finiteness check is all a user sees.
+    apart, which QR roundoff would not give. A member whose distance
+    overflows (its entries are finite) is factored again scaled by
+    ``2^-e`` (``linalg._scaled``), so its R is that of ``2^-e W``, and its
+    distance is scaled back by ``2^2e``. Overflow warnings are silenced,
+    so that a caller's finiteness check is all a user sees.
     """
     k, l = np.asarray(k), np.asarray(l)
     n, n_k, d, _ = k.shape
@@ -291,9 +296,17 @@ def _factored_chois(k: np.ndarray, l: np.ndarray):
     w[..., :n_k], w[..., n_k:] = k.transpose(0, 3, 2, 1), l.transpose(0, 3, 2, 1)
     del k, l  # stacks made here from sequences are not held through the QR
     signs = np.where(np.arange(w.shape[-1]) < n_k, 1.0, -1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def factor(w):
         r = np.linalg.qr(w.reshape(n, d * d, -1), mode="r")
-        distances = _frobenius_norms((r * signs) @ r.conj().swapaxes(-1, -2))
+        return r, _frobenius_norms((r * signs) @ r.conj().swapaxes(-1, -2))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, distances = factor(w)
+        if not all(map(math.isfinite, distances)):
+            w, e = _scaled(~np.isfinite(distances), w)
+            r, distances = factor(w)
+            distances = np.ldexp(distances, 2 * e).tolist()
     return [0.0 if eq else x for eq, x in zip(same, distances)], r
 
 

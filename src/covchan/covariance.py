@@ -40,6 +40,7 @@ from .linalg import (
     _blocks,
     _gram_defects,
     _haar_unitaries,
+    _scaled,
     dagger,
     frobenius_distance,
     spawn_rng,
@@ -273,9 +274,21 @@ def covariant_distance(k: KrausSet, lprime: KrausSet, f: FrameTransform) -> floa
 
 
 def _operator_distance(a, b) -> list:
-    """``max_A || a_A - b_A ||_F`` per member of two ``(n, N, d, d)`` stacks of sets."""
-    with np.errstate(over="ignore", invalid="ignore"):  # too large to square: inf
+    """``max_A || a_A - b_A ||_F`` per member of two ``(n, N, d, d)`` stacks of sets.
+
+    A member whose distance overflows is measured again scaled by ``2^-e``
+    (``linalg._scaled``), and its distance scaled back by ``2^e``.
+    """
+
+    def measure(a, b):
         return [max(map(frobenius_distance, x, y)) for x, y in zip(a, b)]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        distances = measure(a, b)
+        if not all(map(math.isfinite, distances)):
+            a, b, e = _scaled(~np.isfinite(distances), np.asarray(a), np.asarray(b))
+            distances = np.ldexp(measure(a, b), e).tolist()
+    return distances
 
 
 def _verdict(defect: float, distance: float, tol: float) -> Verdict:
@@ -607,7 +620,8 @@ def extract_mixing(
     N x N block, ``V^T = R_K^{-1} R[:N, N:]``. Returns None when there are
     more operators than the d^2 dimensions of operator space, when
     ``sigma_min(R_K)^2`` is at most ``GRAM_MIN_EIGENVALUE`` (linearly
-    dependent Kraus elements), or when the solved V fails verification,
+    dependent Kraus elements; R is that of the scaled stack for sets
+    whose distance overflowed), or when the solved V fails verification,
     so a returned V is always correct: unitary within ``tol`` and
     reconstructing every operator within ``tol * rank``.
     """
@@ -630,8 +644,9 @@ def extract_mixing(
     # a non-finite V has a NaN or infinite defect and must fail here
     if not unitarity_defect(v) <= tol:
         return None
-    rebuilt = _mix(v, k_ops)
-    errors = np.linalg.norm((l_ops - rebuilt).reshape(n, -1), axis=1)
-    if float(errors.max()) > tol * n:
+    with np.errstate(over="ignore", invalid="ignore"):  # huge sets: inf or NaN fails
+        rebuilt = _mix(v, k_ops)
+        errors = np.linalg.norm((l_ops - rebuilt).reshape(n, -1), axis=1)
+    if not float(errors.max()) <= tol * n:
         return None
     return _trusted(MixingUnitary, mat=_readonly(v))

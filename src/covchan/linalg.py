@@ -75,6 +75,17 @@ def _frobenius_norms(mats: np.ndarray) -> list:
     return [float(np.linalg.norm(m)) for m in mats]
 
 
+def _scaled(overflowed, *stacks: np.ndarray):
+    """``(n, ...)`` stacks with each ``overflowed`` member scaled by ``2^-e``, and e.
+
+    e takes a member's largest entry to [0.5, 1), and is 0 for the others.
+    A power of two scales every value in range exactly.
+    """
+    top = np.max([np.abs(s).max(axis=tuple(range(1, s.ndim))) for s in stacks], 0)
+    e = np.where(overflowed, np.frexp(top)[1], 0)
+    return (*(s * np.ldexp(1.0, -e).reshape(-1, *(1,) * (s.ndim - 1)) for s in stacks), e)
+
+
 def _gram_defects(ops: np.ndarray) -> list:
     """``||sum_A A†A - I||_F`` for each set of an ``(n, N, d, d)`` stack.
 

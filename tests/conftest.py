@@ -1,4 +1,7 @@
-"""Shared test plumbing: the acceptance summary printed after the run."""
+"""Shared test plumbing: the acceptance summary printed after the run, and
+exact power-of-two scaling of Kraus sets."""
+
+import math
 
 _acceptance_lines = []
 
@@ -15,3 +18,10 @@ def pytest_terminal_summary(terminalreporter):
     for label, ok, elapsed in _acceptance_lines:
         status = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"  {label}: {status} ({elapsed:.2f}s)")
+
+
+def times_power_of_two(k, e):
+    """``k`` with every operator times ``2^e``, exactly; not checked for completeness."""
+    from covchan.channels import KrausSet
+
+    return KrausSet([math.ldexp(1.0, e) * op for op in k.ops], trace_preserving=False)

@@ -1,9 +1,11 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from conftest import times_power_of_two
 from covchan.channels import (
     CHANNEL_EQUALITY_TOL,
     STATE_TOL,
@@ -486,6 +488,40 @@ class TestFactoredOracle:
             assert distances[1] == 0.0
         assert min(distances[0], distances[2]) > CHANNEL_EQUALITY_TOL
 
+
+
+class TestLargeSets:
+    """Sets too large to square are scaled by a power of two, and their distances back."""
+
+    @pytest.mark.parametrize("e", [-20, -2, 2, 20, 300])
+    @pytest.mark.parametrize("d", [2, 8, 32])
+    def test_power_of_two_scaling_is_exact(self, d, e):
+        # e = 300 takes the scaled path; the others show that it is exact
+        k = random_kraus_set(d, 4, spawn_rng(43, d, 0))
+        mixed = mix_kraus(k, MixingUnitary(random_unitary(4, spawn_rng(43, d, 1))))
+        other = random_kraus_set(d, 4, spawn_rng(43, d, 2))
+        for l in (mixed, other):
+            got = choi_distance(times_power_of_two(k, e), times_power_of_two(l, e))
+            assert got == math.ldexp(choi_distance(k, l), 2 * e)
+
+    def test_overflowing_distance_is_inf(self):
+        big = KrausSet([np.full((2, 2), 1e200 + 0j)], trace_preserving=False)
+        ident = KrausSet([np.eye(2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert choi_distance(big, ident) == math.inf
+            assert choi_distance(ident, big) == math.inf
+
+    def test_stacked_members_scale_alone(self):
+        # a scaled member next to unscaled ones changes none of their bits
+        ks = [random_kraus_set(4, 3, spawn_rng(47, i)) for i in range(6)]
+        ks[1], ks[4] = times_power_of_two(ks[1], 300), times_power_of_two(ks[4], 300)
+        distances, _ = _factored_chois(
+            np.stack([np.asarray(k.ops) for k in ks[:3]]),
+            np.stack([np.asarray(k.ops) for k in ks[3:]]),
+        )
+        assert distances == [choi_distance(k, l) for k, l in zip(ks[:3], ks[3:])]
+        assert 0 < distances[1] < math.inf
 
 class TestKrausImages:
     """The batched operator-sum kernel against the per-operator products."""

@@ -19,7 +19,14 @@ import covchan
 from covchan import linalg, serialization
 from covchan.channels import DensityMatrix, KrausSet, random_kraus_set
 from covchan.cli import freedom_sweep, main
-from covchan.covariance import FrameTransform, Verdict, analyze, conjugate_kraus
+from covchan.covariance import (
+    FrameTransform,
+    MixingUnitary,
+    Verdict,
+    analyze,
+    conjugate_kraus,
+    mix_kraus,
+)
 from covchan.linalg import random_density, random_unitary, spawn_rng
 from covchan.serialization import (
     InputError,
@@ -973,7 +980,8 @@ class TestOverflowingDerivedSet:
     @pytest.mark.parametrize("flags", [[], ["-X", "dev", "-W", "error"]], ids=["plain", "dev"])
     def test_nonfinite_residual_reads_incompatible(self, fixtures, flags):
         tmp = fixtures["tmp"]
-        # finite, so accepted; the Choi residual and the distance overflow
+        # finite, so accepted; the Choi residual (about 1e400) is past the
+        # float range, the covariant distance (2e200) is not
         big = dict(_kraus_obj([np.full((2, 2), 1e200 + 0j)]), trace_preserving=False)
         big = _write(tmp, "big.json", big)
         argv = ["analyze", big, fixtures["ident"], fixtures["lam_ident"]]
@@ -982,8 +990,111 @@ class TestOverflowingDerivedSet:
         assert proc.returncode == 2
         results = json.loads(proc.stdout)["results"]
         assert results["verdict"] == "INCOMPATIBLE"
-        assert results["residual"] is None and results["covariant_distance"] is None
+        assert results["residual"] is None
+        assert results["covariant_distance"] == pytest.approx(2e200, rel=1e-15)
 
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_PRINT_THREAD_VARS = (
+    f"import json, os; print(json.dumps([os.environ.get(v) for v in {_THREAD_VARS!r}]))"
+)
+
+# the console script that pip writes for ``covchan = "covchan.cli:main"``
+_CONSOLE_SCRIPT = """\
+import re
+import sys
+from covchan.cli import main
+if __name__ == '__main__':
+    sys.argv[0] = re.sub(r'(-script\\.pyw|\\.exe)?$', '', sys.argv[0])
+    sys.exit(main())
+"""
+
+
+class TestBlasThreadPin:
+    """A CLI job runs BLAS on one thread unless the user chose a count;
+    ``import covchan`` from any other program changes nothing."""
+
+    @staticmethod
+    def _python(args, preset=(), stdin=None):
+        """``python ARGS`` in a child with none of the thread variables but ``preset``."""
+        src = os.path.dirname(os.path.dirname(covchan.__file__))
+        env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+        path = env.get("PYTHONPATH")
+        env.update(preset, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        return subprocess.run(
+            [sys.executable, *args], input=stdin, capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+
+    @pytest.fixture(params=["module", "script"])
+    def entry(self, request, tmp_path):
+        if request.param == "module":
+            return ["-m", "covchan"]
+        script = tmp_path / "bin" / "covchan"
+        script.parent.mkdir()
+        script.write_text(_CONSOLE_SCRIPT)
+        return [str(script)]
+
+    def _cli_thread_vars(self, entry, preset=()):
+        # -i: once the CLI has exited, the interpreter runs stdin's line
+        proc = self._python(["-i", *entry, "--version"], preset, stdin=_PRINT_THREAD_VARS + "\n")
+        version, values = proc.stdout.splitlines()
+        assert version == f"covchan {covchan.__version__}"
+        return json.loads(values)
+
+    def test_cli_pins_one_thread(self, entry):
+        assert self._cli_thread_vars(entry) == ["1", "1", "1"]
+
+    @pytest.mark.parametrize("preset", [{"OMP_NUM_THREADS": "3"}, {"OPENBLAS_NUM_THREADS": "2"}])
+    def test_user_value_wins(self, entry, preset):
+        want = [preset.get(name) for name in _THREAD_VARS]
+        assert self._cli_thread_vars(entry, preset) == want
+
+    def test_library_import_leaves_environment(self):
+        code = (
+            "import os; before = dict(os.environ); import covchan, numpy; "
+            "assert dict(os.environ) == before; print('ok')"
+        )
+        proc = self._python(["-c", code])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+
+    def test_numpy_loaded_first_is_left_alone(self):
+        # the pool exists once numpy is loaded: a late pin would only mislead
+        code = "import sys, numpy; sys.argv[0] = '-m'; import covchan; " + _PRINT_THREAD_VARS
+        proc = self._python(["-c", code])
+        assert json.loads(proc.stdout) == [None, None, None]
+
+    @pytest.mark.parametrize("kind", ["conjugated", "mixed"])
+    def test_report_bytes_do_not_depend_on_core_count(self, tmp_path, kind):
+        d, n = 32, 16
+        k = random_kraus_set(d, n, spawn_rng(61, 0))
+        f = FrameTransform(random_unitary(d, spawn_rng(61, 1)))
+        lp = conjugate_kraus(k, f)
+        if kind == "mixed":
+            lp = mix_kraus(lp, MixingUnitary(random_unitary(n, spawn_rng(61, 2))))
+        argv = [
+            "-m", "covchan", "analyze",
+            _write(tmp_path, "k.json", _kraus_obj(k.ops)),
+            _write(tmp_path, "l.json", _kraus_obj(lp.ops)),
+            _write(tmp_path, "f.json", matrix_to_obj(f.mat)),
+        ]
+        unset, one, two = (
+            self._python(argv, preset)
+            for preset in ({}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"})
+        )
+        for run in (unset, one, two):
+            assert (run.returncode, run.stderr) == (0, "")
+        # unset is one thread on any machine
+        _assert_same_text(one.stdout, unset.stdout)
+        if kind == "conjugated":
+            _assert_same_text(two.stdout, unset.stdout)
+        else:
+            # a thread count the user sets may sum in another order: the
+            # residual of this pair moves in its last digits at two threads
+            got, want = json.loads(two.stdout), json.loads(unset.stdout)
+            residuals = got["results"].pop("residual"), want["results"].pop("residual")
+            assert got == want
+            assert abs(residuals[0] - residuals[1]) <= 1e-13
 
 class TestPublicSurface:
     """The package exports each module's ``__all__``, and ``__version__``."""

@@ -1,9 +1,11 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from conftest import times_power_of_two
 from covchan.channels import (
     CHANNEL_EQUALITY_TOL,
     COMPLETENESS_TOL,
@@ -805,6 +807,44 @@ class TestExtractMixing:
         with pytest.raises(ValueError, match="different channels"):
             extract_mixing(KrausSet([I2]), KrausSet([X]))
 
+
+
+class TestLargeSets:
+    """Sets too large to square: finite distances stay finite, verdicts and V stay safe."""
+
+    @pytest.mark.parametrize("e", [-20, -2, 2, 20, 300])
+    @pytest.mark.parametrize("d", [2, 8, 32])
+    def test_covariant_distance_scales_exactly(self, d, e):
+        k = random_kraus_set(d, 4, spawn_rng(53, d, 0))
+        lp = random_kraus_set(d, 4, spawn_rng(53, d, 1))
+        f = FrameTransform(random_unitary(d, spawn_rng(53, d, 2)))
+        got = covariant_distance(times_power_of_two(k, e), times_power_of_two(lp, e), f)
+        assert got == math.ldexp(covariant_distance(k, lp, f), e)
+
+    def test_overflowing_residual_is_inf(self):
+        big = KrausSet([np.full((2, 2), 1e200 + 0j)], trace_preserving=False)
+        ident = KrausSet([np.eye(2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = analyze(big, ident, FrameTransform(np.eye(2)))
+        assert report.residual == math.inf
+        assert report.covariant_distance == pytest.approx(2e200, rel=1e-15)
+        assert report.verdict is Verdict.INCOMPATIBLE
+
+    @pytest.mark.parametrize("scale", [2.0**300, 1e300])
+    def test_extract_mixing_on_huge_sets(self, scale):
+        k = random_kraus_set(4, 3, spawn_rng(59, 0))
+        v = MixingUnitary(random_unitary(3, spawn_rng(59, 1)))
+        big = KrausSet([scale * op for op in k.ops], trace_preserving=False)
+        mixed = KrausSet([scale * op for op in mix_kraus(k, v).ops], trace_preserving=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # a returned V is verified; equal huge sets may fail its absolute tol
+            got = extract_mixing(big, big)
+            assert got is None or np.allclose(got.mat, np.eye(3))
+            # roundoff at this size is far past tol: the sets read as different
+            with pytest.raises(ValueError, match="different channels"):
+                extract_mixing(big, mixed)
 
 def test_reports_are_plain_dataclasses():
     rep = analyze(PHASE_DAMPING, PHASE_DAMPING, IDENT_FRAME)
