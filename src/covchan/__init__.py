@@ -29,7 +29,7 @@ from .covariance import *  # noqa: F403
 from .linalg import *  # noqa: F403
 from .scenario import *  # noqa: F403
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     *channels.__all__,

@@ -214,7 +214,8 @@ def mix_kraus(k: KrausSet, v: MixingUnitary) -> KrausSet:
     """``L_A = sum_B V_AB K_B``: same channel for every unitary V.
 
     This is the whole unitary-freedom family; the channel, the completeness
-    sum, and hence all statistics are untouched.
+    sum and all statistics are untouched. The sums are one BLAS product
+    (:func:`_mix`), so their last digits follow the BLAS thread count.
     """
     if v.rank != k.rank:
         raise ValueError(f"rank mismatch: mixing {v.rank} vs set {k.rank}")
@@ -222,8 +223,11 @@ def mix_kraus(k: KrausSet, v: MixingUnitary) -> KrausSet:
 
 
 def _mix(v: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """``sum_B V_AB K_B`` for one mixing and set, or a stack of them."""
-    return np.einsum("...ab,...bij->...aij", v, ops)
+    """``sum_B V_AB K_B`` for one mixing and set, or a stack of them.
+
+    One product with the operators as rows; each member is bitwise its own call.
+    """
+    return (v @ ops.reshape(*ops.shape[:-2], -1)).reshape(ops.shape)
 
 
 def make_noncovariant_solution(
@@ -360,15 +364,9 @@ def _witness_states(d: int):
     # d^2 pure states spanning the Hermitian matrices: basis states plus
     # two superpositions per pair. Complete by linearity, so two unitary
     # conjugations that agree on all of them are the same channel.
-    states = []
-    eye = np.eye(d, dtype=np.complex128)
-    for i in range(d):
-        states.append(eye[i])
-    for i in range(d):
-        for j in range(i + 1, d):
-            states.append((eye[i] + eye[j]) / np.sqrt(2.0))
-            states.append((eye[i] + 1j * eye[j]) / np.sqrt(2.0))
-    return np.array(states)
+    e = np.eye(d, dtype=np.complex128)
+    pairs = [e[i] + c * e[j] for i in range(d) for j in range(i + 1, d) for c in (1, 1j)]
+    return np.array([*e, *(p / np.sqrt(2.0) for p in pairs)])
 
 
 def _single_operator(mat, name: str, tol: float) -> np.ndarray:
@@ -554,11 +552,7 @@ def n1_covariance_search(
                 best_phase_distance = phase_dist
                 best_candidate = cand
             if residual <= tol:
-                violations.append(
-                    N1Violation(
-                        residual=residual, phase_distance=phase_dist, candidate=cand
-                    )
-                )
+                violations.append(N1Violation(residual, phase_dist, cand))
 
     eps = PHASE_DISTANCE_FLOOR
     return N1SearchReport(
@@ -623,7 +617,8 @@ def extract_mixing(
     dependent Kraus elements; R is that of the scaled stack for sets
     whose distance overflowed), or when the solved V fails verification,
     so a returned V is always correct: unitary within ``tol`` and
-    reconstructing every operator within ``tol * rank``.
+    reconstructing every operator within ``tol * rank`` times the sets'
+    size, their largest real or imaginary part, or 1 if that is smaller.
     """
     if k.rank != l.rank:
         raise ValueError(f"rank mismatch: {k.rank} vs {l.rank}")
@@ -645,8 +640,11 @@ def extract_mixing(
     if not unitarity_defect(v) <= tol:
         return None
     with np.errstate(over="ignore", invalid="ignore"):  # huge sets: inf or NaN fails
-        rebuilt = _mix(v, k_ops)
-        errors = np.linalg.norm((l_ops - rebuilt).reshape(n, -1), axis=1)
-    if not float(errors.max()) <= tol * n:
+        miss = (l_ops - _mix(v, k_ops)).reshape(n, -1)
+        worst = float(np.linalg.norm(miss, axis=1).max())
+        if not worst <= tol * n:  # then relative to the sets' size, if above 1
+            size = max(np.abs(o.view(np.float64)).max() for o in (k_ops, l_ops))
+            worst = float(np.linalg.norm(miss / size, axis=1).max())
+    if not worst <= tol * n:
         return None
     return _trusted(MixingUnitary, mat=_readonly(v))

@@ -39,7 +39,8 @@ from covchan.covariance import (
     phase_permutation_distance,
     transform_state,
 )
-from covchan.covariance import _rank1_choi_residual, _verdict
+from covchan import covariance
+from covchan.covariance import _mix, _rank1_choi_residual, _verdict
 from covchan.linalg import (
     dagger,
     frobenius_distance,
@@ -236,6 +237,45 @@ class TestMixKraus:
     def test_rank_mismatch(self):
         with pytest.raises(ValueError, match="rank"):
             mix_kraus(PHASE_DAMPING, MixingUnitary(np.eye(3)))
+
+
+class TestMixKernel:
+    """``_mix`` against the sum written out, one operator at a time."""
+
+    @staticmethod
+    def _oracle(v, ops):
+        out = np.zeros_like(ops)
+        for a in range(v.shape[0]):
+            for b in range(v.shape[1]):
+                out[a] += v[a, b] * ops[b]
+        return out
+
+    @staticmethod
+    def _draw(shape, *key):
+        rng = spawn_rng(71, *key)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 16])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 16, 32])
+    def test_single_set_is_the_written_out_sum(self, d, n):
+        ops = self._draw((n, d, d), d, n, 0)
+        v = random_unitary(n, spawn_rng(71, d, n, 1))
+        got = _mix(v, ops)
+        assert got.shape == ops.shape
+        assert np.linalg.norm(got - self._oracle(v, ops)) <= 1e-12 * np.linalg.norm(ops)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 16])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 16, 32])
+    def test_stack_rows_are_single_calls(self, d, n):
+        ops = self._draw((3, n, d, d), d, n, 2)
+        v = np.stack([random_unitary(n, spawn_rng(71, d, n, 3, t)) for t in range(3)])
+        got = _mix(v, ops)
+        assert got.shape == ops.shape
+        for t in range(3):
+            single = _mix(v[t], ops[t])
+            assert got[t].tobytes() == single.tobytes()
+            want = self._oracle(v[t], ops[t])
+            assert np.linalg.norm(got[t] - want) <= 1e-12 * np.linalg.norm(ops[t])
 
 
 class TestMakeNoncovariantSolution:
@@ -799,6 +839,18 @@ class TestExtractMixing:
             recovered += 1
         assert declined and recovered
 
+    @pytest.mark.parametrize("d", [16, 32])
+    def test_round_trip_at_the_top_range(self, d):
+        # the README's range ends at d = 32, rank 16
+        k = random_kraus_set(d, 16, spawn_rng(97, d, 0))
+        f = FrameTransform(random_unitary(d, spawn_rng(97, d, 1)))
+        v0 = random_unitary(16, spawn_rng(97, d, 2))
+        lprime = make_noncovariant_solution(k, f, MixingUnitary(v0))
+        got = extract_mixing(conjugate_kraus(k, f), lprime)
+        assert got is not None
+        assert frobenius_distance(got.mat, v0) <= 1e-9
+        assert analyze(k, lprime, f).verdict is Verdict.NONCOVARIANT_COMPATIBLE
+
     def test_rank_mismatch(self):
         with pytest.raises(ValueError, match="rank"):
             extract_mixing(PHASE_DAMPING, KrausSet([I2]))
@@ -839,12 +891,43 @@ class TestLargeSets:
         mixed = KrausSet([scale * op for op in mix_kraus(k, v).ops], trace_preserving=False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # a returned V is verified; equal huge sets may fail its absolute tol
+            # a returned V is verified
             got = extract_mixing(big, big)
             assert got is None or np.allclose(got.mat, np.eye(3))
             # roundoff at this size is far past tol: the sets read as different
             with pytest.raises(ValueError, match="different channels"):
                 extract_mixing(big, mixed)
+
+    @pytest.mark.parametrize("scale", [2.0**300, 1e300])
+    def test_equal_huge_sets_give_the_identity(self, scale):
+        # the rebuilt operators miss by roundoff at the sets' size, far past
+        # tol * rank in absolute terms; the check is relative to that size
+        k = random_kraus_set(4, 3, spawn_rng(59, 0))
+        big = KrausSet([scale * op for op in k.ops], trace_preserving=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = extract_mixing(big, big)
+        assert got is not None
+        assert np.abs(got.mat - np.eye(3)).max() <= 1e-12
+
+
+class TestReconstructionBound:
+    """A solved V is kept while each rebuilt operator misses by at most
+    ``tol * rank * max(1, largest real or imaginary part of the sets)``."""
+
+    @pytest.mark.parametrize("e", [-3, 0, 20])
+    @pytest.mark.parametrize("within", [True, False])
+    def test_bound_follows_the_sets_size(self, monkeypatch, e, within):
+        # equal sets: a mixed pair at 2^20 already fails the absolute Choi check
+        k = times_power_of_two(random_kraus_set(3, 3, spawn_rng(73, 0)), e)
+        size = np.abs(np.asarray(k.ops).view(np.float64)).max()
+        bound = CHANNEL_EQUALITY_TOL * 3 * max(1.0, size)
+        miss = np.zeros((3, 3), dtype=complex)
+        miss[0, 0] = (0.9 if within else 1.1) * bound
+        exact = covariance._mix
+        monkeypatch.setattr(covariance, "_mix", lambda v, ops: exact(v, ops) + miss)
+        assert (extract_mixing(k, k) is not None) is within
+
 
 def test_reports_are_plain_dataclasses():
     rep = analyze(PHASE_DAMPING, PHASE_DAMPING, IDENT_FRAME)
