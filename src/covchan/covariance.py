@@ -124,10 +124,6 @@ class FrameTransform(_Unitary):
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def inverse(self) -> "FrameTransform":
-        """``Lam^dagger``, as unitary as ``Lam`` was when it was accepted."""
-        return _trusted(FrameTransform, mat=_readonly(dagger(self.mat)))
-
 
 @dataclass(frozen=True, eq=False)
 class MixingUnitary(_Unitary):
@@ -604,11 +600,19 @@ def _assignment_distance(w: list) -> float:
     return math.sqrt(max(0.0, 2.0 * (n - best[-1])))
 
 
+def _size(*stacks: np.ndarray) -> float:
+    """The largest real or imaginary part of any entry of ``stacks``."""
+    return max(np.abs(s.view(np.float64)).max() for s in stacks)
+
+
 def extract_mixing(
     k: KrausSet, l: KrausSet, tol: float = CHANNEL_EQUALITY_TOL
 ) -> MixingUnitary | None:
     """Recover the unitary V with ``L_A = sum_B V_AB K_B``, if one exists.
 
+    Raises ValueError when the sets define different channels: their Choi
+    distance exceeds ``tol`` and ``tol`` times their squared size (the size
+    as below), so that roundoff in large sets is not read as a difference.
     Solves ``W_L = W_K V^T`` for the stacked vecs by QR least squares,
     reusing the R that decided channel equality: with R_K its leading
     N x N block, ``V^T = R_K^{-1} R[:N, N:]``. Returns None when there are
@@ -624,10 +628,12 @@ def extract_mixing(
         raise ValueError(f"rank mismatch: {k.rank} vs {l.rank}")
     k_ops, l_ops = np.asarray(k.ops), np.asarray(l.ops)
     (distance,), (r,) = _factored_chois(k_ops[None], l_ops[None])
-    if distance > tol:
-        raise ValueError(
-            "the sets define different channels; no mixing unitary can relate them"
-        )
+    if distance > tol:  # then relative to the sets' squared size, if above 1
+        size = _size(k_ops, l_ops)
+        if not distance / size / size <= tol:
+            raise ValueError(
+                "the sets define different channels; no mixing unitary can relate them"
+            )
     n = k.rank
     if n > k.dim * k.dim:
         return None
@@ -643,8 +649,7 @@ def extract_mixing(
         miss = (l_ops - _mix(v, k_ops)).reshape(n, -1)
         worst = float(np.linalg.norm(miss, axis=1).max())
         if not worst <= tol * n:  # then relative to the sets' size, if above 1
-            size = max(np.abs(o.view(np.float64)).max() for o in (k_ops, l_ops))
-            worst = float(np.linalg.norm(miss / size, axis=1).max())
+            worst = float(np.linalg.norm(miss / _size(k_ops, l_ops), axis=1).max())
     if not worst <= tol * n:
         return None
     return _trusted(MixingUnitary, mat=_readonly(v))

@@ -43,7 +43,7 @@ from .covariance import (
     mix_kraus,
     transform_state,
 )
-from .linalg import frobenius_distance
+from .linalg import _blocks, frobenius_distance
 
 __all__ = [
     "NULL_BRANCH_PROB",
@@ -176,6 +176,8 @@ class Branches:
     ``counts`` branches per intervention. Rows of ``probabilities``, of
     ``live`` (above ``NULL_BRANCH_PROB``) and of ``states`` (renormalized,
     shape ``(L, 2, d, d)``, NaN where null) hold frame S, then frame S'.
+    ``states`` is the array the tree grew in: each frame's column
+    ``states[:, f]`` held every level of that frame's tree in turn.
     """
 
     counts: np.ndarray
@@ -243,34 +245,46 @@ def _probabilities(images: np.ndarray) -> list:
     return np.trace(images, axis1=-2, axis2=-1).real.tolist()
 
 
-def _grow(state: np.ndarray, sets, labels) -> tuple:
+def _grow(state: np.ndarray, sets, labels, out: np.ndarray) -> tuple:
     """One frame's account of ``state`` evolving through ``sets`` in turn.
 
-    Returns each set's marginal branch probabilities, the unnormalized
-    leaves in outcome-sequence order, and the final non-selective state.
+    Writes the unnormalized leaves, in outcome-sequence order, into ``out``
+    (that frame's ``(L, d, d)`` column of the leaf table) and returns each
+    set's marginal branch probabilities and the final non-selective state.
     The marginals are the traces of the branch images of the non-selective
     state (by linearity the true marginals); the images sum to the next.
-    Sets accepted at a loose ``tol`` can overflow the products: the first
-    set after which a leaf, the state or a marginal is not finite is named,
-    by its label in ``labels``, in a ``ValueError``, and numpy's overflow
-    warnings are silenced so that this error is all a caller sees.
+    Every level is built inside ``out``: parent ``p`` of a set with N
+    branches has its children in rows ``p N`` to ``p N + N - 1``, so
+    taking the parents in blocks (``linalg._blocks``) from the last back to
+    the first, a block's images, made before they are written, only ever
+    overwrite parents already read. Sets accepted at a loose ``tol`` can
+    overflow the products: the first set after which a leaf, the state or
+    a marginal is not finite is named, by its label in ``labels``, in a
+    ``ValueError``, and numpy's overflow warnings are silenced so that this
+    error is all a caller sees.
     """
-    d = state.shape[0]
     marginals = []
-    leaves = state[None]
+    out[0] = state
+    n = 1
     with np.errstate(over="ignore", invalid="ignore"):
         for k, label in zip(sets, labels):
             images = _kraus_images(k.ops, state)
             marginals.append(tuple(_probabilities(images)))
-            leaves = _kraus_images(k.ops, leaves).reshape(-1, d, d)
             state = images.sum(axis=0)
-            finite = np.isfinite(leaves).all() and np.isfinite(state).all()
-            if not (finite and all(map(math.isfinite, marginals[-1]))):
+            finite = np.isfinite(state).all() and all(map(math.isfinite, marginals[-1]))
+            for block in reversed(_blocks(n, k.rank * state.nbytes)):
+                children = _kraus_images(k.ops, out[block.start : block.stop])
+                finite = finite and np.isfinite(children).all()
+                out[block.start * k.rank : block.stop * k.rank] = children.reshape(
+                    -1, *state.shape
+                )
+            if not finite:
                 raise ValueError(
                     f"intervention {label!r}: branch states overflow; "
                     "entries must be finite"
                 )
-    return marginals, leaves, state
+            n *= k.rank
+    return marginals, state
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
@@ -305,8 +319,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         sets_sp.append(l_joint)
 
     labels = [iv.label for iv in cfg.interventions]
-    marginals_s, leaves_s, rho = _grow(cfg.initial_state.mat, sets_s, labels)
-    marginals_sp, leaves_sp, sigma = _grow(sigma, sets_sp, labels)
+    # the (leaf, frame) table, each frame grown inside its own column
+    states = np.empty((n_branches, 2, *sigma.shape), dtype=np.complex128)
+    marginals_s, rho = _grow(cfg.initial_state.mat, sets_s, labels, states[:, 0])
+    marginals_sp, sigma = _grow(sigma, sets_sp, labels, states[:, 1])
     records = tuple(
         InterventionRecord(
             label=iv.label,
@@ -318,21 +334,25 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         for iv, probs_s, probs_sp in zip(cfg.interventions, marginals_s, marginals_sp)
     )
 
-    # (leaf, frame) columns; live states are renormalized in place
+    # live states are renormalized in place, null ones set to NaN, by blocks
     counts = np.array([iv.kraus.rank for iv in cfg.interventions], dtype=np.intp)
-    probs = np.stack([_probabilities(leaves_s), _probabilities(leaves_sp)], axis=1)
-    live = ~(probs <= NULL_BRANCH_PROB)
-    states = np.stack([leaves_s, leaves_sp], axis=1)
-    states[~live] = np.nan
-    np.divide(states, probs[..., None, None], out=states, where=live[..., None, None])
-    states += states.conj().swapaxes(-1, -2)
-    states *= 0.5
+    probs = np.empty((n_branches, 2))
+    live = np.empty((n_branches, 2), dtype=bool)
+    for block in _blocks(n_branches, states[0].nbytes):
+        rows = slice(block.start, block.stop)
+        leaves, p, ok = states[rows], probs[rows], live[rows]
+        p[:] = np.trace(leaves, axis1=-2, axis2=-1).real
+        ok[:] = ~(p <= NULL_BRANCH_PROB)
+        leaves[~ok] = np.nan
+        np.divide(leaves, p[..., None, None], out=leaves, where=ok[..., None, None])
+        leaves += leaves.conj().swapaxes(-1, -2)
+        leaves *= 0.5
     for column in (counts, probs, live, states):
         column.setflags(write=False)
     branches = Branches(counts, probs, live, states)
 
-    defects = [0.0, *(rec.probability_defect for rec in records)]
-    probability_defect = max(defects + np.abs(probs[:, 0] - probs[:, 1]).tolist())
+    joint = float(np.abs(probs[:, 0] - probs[:, 1]).max())
+    probability_defect = max([joint, *(rec.probability_defect for rec in records)])
 
     state_defect = frobenius_distance(sigma, _conjugate(cfg.frame.mat, rho))
     covariance_defect = max(probability_defect, state_defect)

@@ -46,7 +46,6 @@ __all__ = [
     "dump_report",
     "load_json",
     "matrix_to_obj",
-    "parse_density",
     "parse_frame",
     "parse_kraus_set",
     "parse_matrix",
@@ -184,10 +183,6 @@ def parse_frame(obj, path: str, tol: float = UNITARY_TOL) -> FrameTransform:
     return _checked(path, FrameTransform, mat, unitarity_tol=tol)
 
 
-def parse_density(obj, path: str) -> DensityMatrix:
-    return _checked(path, DensityMatrix, parse_matrix(obj, path))
-
-
 _TARGETS = {t.value: t for t in Target}
 
 
@@ -208,7 +203,10 @@ def parse_scenario_config(obj, path: str) -> ScenarioConfig:
             raise InputError(f"{path}.tol: must be positive")
     dim_a = _as_int(_get(obj, "dim_a", path), f"{path}.dim_a", minimum=1)
     dim_b = _as_int(_get(obj, "dim_b", path), f"{path}.dim_b", minimum=1)
-    initial = parse_density(_get(obj, "initial_state", path), f"{path}.initial_state")
+    where = f"{path}.initial_state"
+    initial = _checked(
+        where, DensityMatrix, parse_matrix(_get(obj, "initial_state", path), where)
+    )
     frame = parse_frame(_get(obj, "frame", path), f"{path}.frame", tol)
 
     iv_list = _get(obj, "interventions", path)

@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from covchan.covariance import (
     mix_kraus,
     transform_state,
 )
+from covchan import linalg
 from covchan.linalg import (
     dagger,
     frobenius_distance,
@@ -597,3 +600,88 @@ class TestBranchTable:
     def test_sequences_start_afresh_on_each_read(self):
         branches = run_scenario(_table_configs()["mixed-ranks"]).branches
         assert list(branches.sequences) == list(branches.sequences)
+
+
+def _epr_tree(local, n_meas, variant=None, seed=91):
+    """A maximally entangled ``local x local`` pair under ``n_meas`` projective
+    measurements, alternately on A and B, with a random frame; ``variant``
+    "mixing" or "sprime" changes the second frame's set for one measurement."""
+    rng = lambda *path: spawn_rng(seed, local, n_meas, *path)  # noqa: E731
+    psi = np.eye(local).ravel() / np.sqrt(local)
+    ivs = []
+    for m in range(n_meas):
+        u = random_unitary(local, rng(1, m))
+        proj = KrausSet([np.outer(u[:, i], u[:, i].conj()) for i in range(local)])
+        extra = {}
+        if m == n_meas // 2 and variant == "mixing":
+            extra["mixing"] = MixingUnitary(random_unitary(local, rng(2, m)))
+        if m == n_meas // 2 and variant == "sprime":
+            v = random_unitary(local, rng(3, m))
+            extra["sprime_kraus"] = KrausSet([np.outer(c, c.conj()) for c in v.T])
+        target = (Target.SUBSYSTEM_A, Target.SUBSYSTEM_B)[m % 2]
+        ivs.append(Intervention(f"m{m}", proj, target, **extra))
+    d = local * local
+    return ScenarioConfig(
+        initial_state=DensityMatrix.from_state_vector(psi),
+        dim_a=local,
+        dim_b=local,
+        frame=FrameTransform(random_unitary(d, rng(0))),
+        interventions=tuple(ivs),
+    )
+
+
+class TestTableInPlace:
+    """The leaf table is allocated once and every level grows inside it."""
+
+    @pytest.mark.parametrize(
+        "local, n_meas", [(2, 16), (4, 6)], ids=["bell-65536", "d16-4096"]
+    )
+    def test_traced_peak_is_near_the_table(self, local, n_meas):
+        # the table is the one full-size array; every temporary is a block
+        cfg = _epr_tree(local, n_meas)
+        tracemalloc.start()
+        try:
+            res = run_scenario(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(res.branches) == local**n_meas
+        assert peak <= 1.5 * res.branches.states.nbytes
+
+    @pytest.mark.parametrize(
+        "local, n_meas, variant", [(2, 8, "mixing"), (4, 3, "sprime"), (3, 4, None)]
+    )
+    def test_split_levels_give_the_same_table(
+        self, monkeypatch, local, n_meas, variant
+    ):
+        cfg = _epr_tree(local, n_meas, variant)
+        want = run_scenario(cfg)
+        # three d = 4 parents of a binary set per block (one at d = 9 or 16):
+        # a block's children overwrite parents of blocks taken before it
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", 3 * 2 * 16 * 16)
+        got = run_scenario(cfg)
+        assert (got.verdict is Verdict.COVARIANT) is (variant is None)
+        for name in ("counts", "probabilities", "live", "states"):
+            a, b = getattr(got.branches, name), getattr(want.branches, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert got.interventions == want.interventions
+
+    def test_overflow_in_a_late_block_names_the_first_label(self, monkeypatch):
+        # only the leaves under outcome 0 of the big sets grow: after "m3"
+        # those in rows 0 and 4 of 16 overflow, in the last blocks taken
+        big = KrausSet([1e70 * P0, P1], completeness_tol=1e300)
+        ivs = (
+            Intervention("m0", big, Target.SUBSYSTEM_A),
+            Intervention("m1", Z_MEAS, Target.SUBSYSTEM_B),
+            Intervention("m2", big, Target.SUBSYSTEM_A),
+            Intervention("m3", big, Target.SUBSYSTEM_A),
+        )
+        cfg = ScenarioConfig(BELL, 2, 2, IDENT4, ivs, tol=1e300)
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                run_scenario(cfg)
+        assert str(exc.value) == (
+            "intervention 'm3': branch states overflow; entries must be finite"
+        )
