@@ -18,7 +18,6 @@ import sys
 from . import __version__
 from .channels import CHANNEL_EQUALITY_TOL, _random_kraus_ops
 from .covariance import (
-    _DP_MAX_RANK,
     FrameTransform,
     MixingUnitary,
     Verdict,
@@ -80,8 +79,8 @@ def freedom_sweep(dim: int, rank: int, trials: int, seed: int, tol: float):
     is infinite, null in the report, when no mixing was nontrivial. A
     trial falsifies the implementation when the mixed set fails
     compatibility, or, at rank 1, when a compatible candidate sits far
-    from the covariant solution. A rank above the assignment DP's cap is
-    refused before anything is drawn.
+    from the covariant solution. Each trial's ``mixing_distance`` is
+    :func:`phase_permutation_distance`, which solves any rank.
 
     Trials run in bounded blocks: each block's sets, frames and mixings
     are drawn, checked and combined as stacked arrays no larger than a
@@ -95,8 +94,6 @@ def freedom_sweep(dim: int, rank: int, trials: int, seed: int, tol: float):
         raise InputError("dim, rank, and trials must all be >= 1")
     if seed < 0:
         raise InputError("seed must be >= 0")
-    if rank > _DP_MAX_RANK:
-        raise InputError(f"the assignment DP is limited to rank <= {_DP_MAX_RANK}")
     per_trial = []
     # the largest stacks: the rank*dim square samples behind the sets, and
     # the d^2 x 2 rank vecs of the factored Choi distance

@@ -75,9 +75,6 @@ __all__ = [
 
 UNITARY_TOL = 1e-10
 
-# The assignment DP runs over 2^rank column subsets; a larger rank is refused.
-_DP_MAX_RANK = 16
-
 # Below this smallest Gram eigenvalue, taken as sigma_min(R_K)^2 from the
 # QR of the stacked Kraus vecs, the operators count as linearly dependent
 # and no mixing is extracted.
@@ -570,34 +567,44 @@ def phase_permutation_distance(v: MixingUnitary) -> float:
 
     ``min over diagonal-phase D and permutation P of || V - D P ||_F``,
     which reduces to the assignment problem ``max_P sum_a |V|_{a, P(a)}``,
-    solved exactly by DP over column subsets (Held-Karp) for rank <= 16.
-    Rows are assigned in order and each sum is accumulated left to right,
-    so, rounded addition being monotone, the maximum is bitwise the one an
-    enumeration of all permutations finds.
+    solved exactly for any rank by shortest augmenting paths with dual
+    potentials (Kuhn 1955; Jonker and Volgenant 1987) in O(rank^3). The
+    chosen entries are summed over rows in order from 0.0, as an
+    enumeration of all permutations sums them; where optima tie within
+    rounding, that sum can fall a few ulps below the enumeration's largest.
     """
     return _assignment_distance(np.abs(v.mat).tolist())
 
 
 def _assignment_distance(w: list) -> float:
-    """:func:`phase_permutation_distance` from the rows of ``|V|``."""
+    """:func:`phase_permutation_distance` from the rows of ``|V|``, on costs ``-|V|``."""
     n = len(w)
-    if n > _DP_MAX_RANK:
-        raise ValueError(f"the assignment DP is limited to rank <= {_DP_MAX_RANK}")
-    # best[mask]: the largest sum over rows 0..popcount(mask)-1 assigned to
-    # the columns in mask; every mask ^ bit is smaller than mask.
-    best = [0.0]
-    for mask in range(1, 1 << n):
-        row = w[mask.bit_count() - 1]
-        top = -math.inf
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            total = best[mask ^ bit] + row[bit.bit_length() - 1]
-            if total > top:
-                top = total
-            rest ^= bit
-        best.append(top)
-    return math.sqrt(max(0.0, 2.0 * (n - best[-1])))
+    u, v, row = [0.0] * n, [0.0] * (n + 1), [-1] * (n + 1)  # row[j]: column j's row
+    for i in range(n):
+        row[n], j, free, tree = i, n, list(range(n)), []
+        dist, way = [math.inf] * n, [n] * n  # way[c]: the column before c on the path
+        while row[j] >= 0:  # a Dijkstra step from the tree to the nearest column
+            tree.append(j)
+            r, delta = row[j], math.inf
+            for c in free:
+                cur = -w[r][c] - u[r] - v[c]
+                if cur < dist[c]:
+                    dist[c], way[c] = cur, j
+                if dist[c] < delta:
+                    delta, nxt = dist[c], c
+            for c in tree:
+                u[row[c]] += delta
+                v[c] -= delta
+            for c in free:
+                dist[c] -= delta
+            free.remove(nxt)
+            j = nxt
+        while j != n:  # a free column is reached: flip the path
+            row[j], j = row[way[j]], way[j]
+    total = 0.0
+    for a, c in sorted(zip(row[:n], range(n))):
+        total += w[a][c]
+    return math.sqrt(max(0.0, 2.0 * (n - total)))
 
 
 def _size(*stacks: np.ndarray) -> float:
@@ -612,7 +619,8 @@ def extract_mixing(
 
     Raises ValueError when the sets define different channels: their Choi
     distance exceeds ``tol`` and ``tol`` times their squared size (the size
-    as below), so that roundoff in large sets is not read as a difference.
+    as below), so that roundoff in large sets is not read as a difference
+    (past the float range, on the pair scaled exactly to a size below 1).
     Solves ``W_L = W_K V^T`` for the stacked vecs by QR least squares,
     reusing the R that decided channel equality: with R_K its leading
     N x N block, ``V^T = R_K^{-1} R[:N, N:]``. Returns None when there are
@@ -630,6 +638,10 @@ def extract_mixing(
     (distance,), (r,) = _factored_chois(k_ops[None], l_ops[None])
     if distance > tol:  # then relative to the sets' squared size, if above 1
         size = _size(k_ops, l_ops)
+        if distance == math.inf:  # past the float range: scale the pair below size 1
+            unit = 2.0 ** -math.frexp(size)[1]
+            (distance,), _ = _factored_chois(unit * k_ops[None], unit * l_ops[None])
+            size *= unit
         if not distance / size / size <= tol:
             raise ValueError(
                 "the sets define different channels; no mixing unitary can relate them"

@@ -45,7 +45,6 @@ __all__ = [
     "InputError",
     "dump_report",
     "load_json",
-    "matrix_to_obj",
     "parse_frame",
     "parse_kraus_set",
     "parse_matrix",
@@ -143,15 +142,6 @@ def parse_matrix(obj, path: str) -> np.ndarray:
         im = _as_real(entry[1], f"{path}.data[{i}][1]")
         values[i] = complex(re, im)
     return values.reshape(rows, cols)
-
-
-def matrix_to_obj(m) -> dict:
-    m = np.ascontiguousarray(m, dtype=np.complex128)
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "data": m.view(np.float64).reshape(-1, 2).tolist(),
-    }
 
 
 def parse_kraus_set(obj, path: str, tol: float = COMPLETENESS_TOL) -> KrausSet:

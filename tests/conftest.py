@@ -1,7 +1,9 @@
-"""Shared test plumbing: the acceptance summary printed after the run, and
-exact power-of-two scaling of Kraus sets."""
+"""Shared test plumbing: the acceptance summary printed after the run,
+exact power-of-two scaling of Kraus sets, and the JSON matrix format."""
 
 import math
+
+import numpy as np
 
 _acceptance_lines = []
 
@@ -25,3 +27,13 @@ def times_power_of_two(k, e):
     from covchan.channels import KrausSet
 
     return KrausSet([math.ldexp(1.0, e) * op for op in k.ops], trace_preserving=False)
+
+
+def matrix_to_obj(m) -> dict:
+    """``m`` as the ``{"rows", "cols", "data": [[re, im], ...]}`` object the CLI reads."""
+    m = np.ascontiguousarray(m, dtype=np.complex128)
+    return {
+        "rows": int(m.shape[0]),
+        "cols": int(m.shape[1]),
+        "data": m.view(np.float64).reshape(-1, 2).tolist(),
+    }

@@ -43,9 +43,8 @@ from covchan.linalg import (
     spawn_rng,
 )
 from covchan.scenario import Intervention, ScenarioConfig, Target, run_scenario
-from covchan.serialization import matrix_to_obj
 
-from conftest import record_acceptance
+from conftest import matrix_to_obj, record_acceptance
 
 
 def kraus_gram(ops) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import covchan
+from conftest import matrix_to_obj
 from covchan import linalg, serialization
 from covchan.channels import DensityMatrix, KrausSet, random_kraus_set
 from covchan.cli import freedom_sweep, main
@@ -32,7 +33,6 @@ from covchan.serialization import (
     InputError,
     dump_report,
     load_json,
-    matrix_to_obj,
     parse_kraus_set,
     parse_matrix,
     parse_scenario_config,
@@ -474,21 +474,12 @@ class TestFreedomSweepCommand:
         report = json.loads(capsys.readouterr().out)
         assert all(t["nontrivial_mixing"] for t in report["results"]["per_trial"])
 
-    def test_rank_seventeen_exit_one(self, capsys):
-        assert main(["freedom-sweep", "--dim", "2", "--rank", "17", "--trials", "1"]) == 1
-        assert "rank <= 16" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("rank", [17, 256])
-    def test_rank_over_the_cap_is_refused_before_sampling(self, capsys, monkeypatch, rank):
-        def refuse(*args):
-            raise AssertionError("sampled a rank the assignment DP refuses")
-
-        monkeypatch.setattr("covchan.cli._random_kraus_ops", refuse)
-        argv = ["freedom-sweep", "--dim", "32", "--rank", str(rank), "--trials", "1"]
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: the assignment DP is limited to rank <= 16\n"
+    def test_rank_twenty_four_is_solved(self, capsys):
+        # above 16: the assignment solver takes any rank
+        assert main(["freedom-sweep", "--dim", "2", "--rank", "24", "--trials", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["results"]["per_trial"]) == 3
+        assert all(t["nontrivial_mixing"] for t in report["results"]["per_trial"])
 
     @pytest.mark.parametrize("flag", ["--dim", "--rank"])
     def test_unallocatable_size_exit_one(self, capsys, flag):

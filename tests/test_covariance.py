@@ -730,15 +730,40 @@ class TestPhasePermutationDistance:
         mat[np.arange(n), rng.permutation(n)] = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
         return mat
 
+    @staticmethod
+    def _held_karp(mat):
+        # the second reference, for ranks enumeration cannot reach: DP over
+        # column subsets, best[mask] the largest row-order sum of rows
+        # 0..popcount(mask)-1 assigned to the columns in mask
+        w = np.abs(mat).tolist()
+        n = len(w)
+        best = [0.0]
+        for mask in range(1, 1 << n):
+            row = w[mask.bit_count() - 1]
+            best.append(
+                max(best[mask & ~(1 << c)] + row[c] for c in range(n) if mask >> c & 1)
+            )
+        return math.sqrt(max(0.0, 2.0 * (n - best[-1])))
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_dp_equals_enumeration(self, n):
+        # the assignment solver and the Held-Karp reference against every
+        # permutation (the name is kept from the subset DP the solver replaced)
         mats = [random_unitary(n, spawn_rng(71, n, trial)) for trial in range(6)]
         # tie-heavy inputs: every assignment of the DFT matrix has the same
         # sum, and identity and phase-permutations tie at every zero entry
         dft = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
         mats += [np.eye(n), self._phase_permutation(n, n), dft]
         for mat in mats:
-            assert phase_permutation_distance(MixingUnitary(mat)) == self._enumerated(mat)
+            want = self._enumerated(mat)
+            assert phase_permutation_distance(MixingUnitary(mat)) == want
+            assert self._held_karp(mat) == want
+
+    @pytest.mark.parametrize("n", range(9, 15))
+    def test_equals_held_karp_dp(self, n):
+        for trial in range(3):
+            mat = random_unitary(n, spawn_rng(74, n, trial))
+            assert phase_permutation_distance(MixingUnitary(mat)) == self._held_karp(mat)
 
     def test_rank_16_phase_permutation_is_trivial(self):
         assert phase_permutation_distance(MixingUnitary(self._phase_permutation(16, 3))) == 0.0
@@ -755,9 +780,19 @@ class TestPhasePermutationDistance:
         want = math.hypot(*(self._enumerated(b) for b in blocks))
         assert phase_permutation_distance(MixingUnitary(mat)) == pytest.approx(want, rel=1e-12)
 
-    def test_rank_17_is_refused(self):
-        with pytest.raises(ValueError, match="rank <= 16"):
-            phase_permutation_distance(MixingUnitary(np.eye(17)))
+    def test_rank_24_block_diagonal(self):
+        # as at rank 16, with three 8-blocks: a rank above 16
+        blocks = [random_unitary(8, spawn_rng(76, b)) for b in range(3)]
+        mat = np.zeros((24, 24), dtype=complex)
+        for b, block in enumerate(blocks):
+            mat[8 * b : 8 * b + 8, 8 * b : 8 * b + 8] = block
+        rng = np.random.default_rng(77)
+        mat = mat[rng.permutation(24)][:, rng.permutation(24)]
+        want = math.hypot(*(self._enumerated(b) for b in blocks))
+        assert phase_permutation_distance(MixingUnitary(mat)) == pytest.approx(want, rel=1e-12)
+
+    def test_rank_64_phase_permutation_is_trivial(self):
+        assert phase_permutation_distance(MixingUnitary(self._phase_permutation(64, 5))) == 0.0
 
 
 class TestExtractMixing:
@@ -874,25 +909,28 @@ class TestLargeSets:
         assert report.covariant_distance == pytest.approx(2e200, rel=1e-15)
         assert report.verdict is Verdict.INCOMPATIBLE
 
-    @pytest.mark.parametrize("scale", [2.0**300, 1e300])
+    @pytest.mark.parametrize("scale", [2.0**300, 1e300, 1e307])
     def test_extract_mixing_on_huge_sets(self, scale):
         k = random_kraus_set(4, 3, spawn_rng(59, 0))
         v = MixingUnitary(random_unitary(3, spawn_rng(59, 1)))
-        big = KrausSet([scale * op for op in k.ops], trace_preserving=False)
-        mixed = KrausSet([scale * op for op in mix_kraus(k, v).ops], trace_preserving=False)
+        other = random_kraus_set(4, 3, spawn_rng(59, 2))
+        big, mixed, far = (
+            KrausSet([scale * op for op in ops], trace_preserving=False)
+            for ops in (k.ops, mix_kraus(k, v).ops, other.ops)
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # a returned V is verified
             got = extract_mixing(big, big)
             assert got is None or np.allclose(got.mat, np.eye(3))
-            if scale == 1e300:
-                # the Choi distance of this pair is past the float range
-                with pytest.raises(ValueError, match="different channels"):
-                    extract_mixing(big, mixed)
-            else:
-                # roundoff within tol of the squared size: one channel
-                got = extract_mixing(big, mixed)
-                assert np.abs(got.mat - v.mat).max() <= 1e-12
+            # roundoff within tol of the squared size: one channel; from 1e300
+            # the Choi distance is past the float range and is measured again
+            # on the pair scaled below size 1
+            assert (choi_distance(big, mixed) == math.inf) is (scale >= 1e300)
+            got = extract_mixing(big, mixed)
+            assert np.abs(got.mat - v.mat).max() <= 1e-12
+            with pytest.raises(ValueError, match="different channels"):
+                extract_mixing(big, far)
 
     @pytest.mark.parametrize("scale", [2.0**300, 1e300])
     def test_equal_huge_sets_give_the_identity(self, scale):
