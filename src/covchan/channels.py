@@ -35,6 +35,7 @@ import numpy as np
 
 from .linalg import (
     _as_square,
+    _check_gram,
     _frobenius_norms,
     _gram_defects,
     _haar_unitaries,
@@ -65,6 +66,12 @@ __all__ = [
 STATE_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
 CHANNEL_EQUALITY_TOL = 1e-9
+
+# KrausSet's completeness error, for ``linalg._check_gram``
+_INCOMPLETE = (
+    "completeness defect {defect:.3e} exceeds {tol:.1e}; "
+    "sum of K^dagger K is not the identity"
+)
 
 
 def _trusted(cls, **fields):
@@ -142,7 +149,8 @@ class KrausSet:
     branches or environment basis labels, flattened to a single subscript.
     ``trace_preserving=False`` admits selective-measurement branch subsets,
     which deliberately fail completeness; the completeness invariant is
-    enforced only when the flag is set.
+    enforced only when the flag is set, at ``completeness_tol`` but never
+    tighter than ``COMPLETENESS_TOL``.
     """
 
     ops: tuple
@@ -164,7 +172,8 @@ class KrausSet:
                 )
         object.__setattr__(self, "ops", ops)
         if self.trace_preserving:
-            _check_completeness(np.asarray(ops)[None], completeness_tol)
+            tol = max(COMPLETENESS_TOL, completeness_tol)
+            _check_gram(np.asarray(ops)[None], tol, _INCOMPLETE)
 
     @property
     def dim(self) -> int:
@@ -226,20 +235,6 @@ def _output_state(out: np.ndarray) -> DensityMatrix:
 def completeness_defect(k: KrausSet) -> float:
     """``|| sum_A K_A^dagger K_A - I ||_F``; zero iff trace-preserving."""
     return _gram_defects(np.asarray(k.ops)[None])[0]
-
-
-def _check_completeness(ops: np.ndarray, tol: float) -> None:
-    """``KrausSet``'s completeness gate on each set of an ``(n, N, d, d)`` stack.
-
-    It checks at ``tol`` but never tighter than ``COMPLETENESS_TOL``.
-    """
-    tol = max(COMPLETENESS_TOL, tol)
-    for defect in _gram_defects(ops):
-        if defect > tol:
-            raise ValueError(
-                f"completeness defect {defect:.3e} exceeds "
-                f"{tol:.1e}; sum of K^dagger K is not the identity"
-            )
 
 
 def _derived_set(k: KrausSet, compute) -> KrausSet:
@@ -370,5 +365,5 @@ def _random_kraus_ops(dim: int, rank: int, seeds) -> np.ndarray:
     """
     u = _haar_unitaries(rank * dim, seeds)
     ops = np.ascontiguousarray(u[:, :, :dim].reshape(len(seeds), rank, dim, dim))
-    _check_completeness(ops, COMPLETENESS_TOL)
+    _check_gram(ops, COMPLETENESS_TOL, _INCOMPLETE)
     return ops

@@ -158,7 +158,11 @@ def freedom_sweep(dim: int, rank: int, trials: int, seed: int, tol: float):
     return payload, falsified
 
 
-def cmd_analyze(args) -> int:
+# Each cmd_* returns its results, its tolerance and its exit code; main
+# writes them as the report.
+
+
+def cmd_analyze(args):
     k = parse_kraus_set(load_json(args.kraus_file), args.kraus_file, args.tol)
     lprime = parse_kraus_set(load_json(args.lprime_file), args.lprime_file, args.tol)
     frame = parse_frame(load_json(args.lambda_file), args.lambda_file, args.tol)
@@ -170,23 +174,17 @@ def cmd_analyze(args) -> int:
         rep.covariant_distance,
         rep.verdict.value,
     )
-    report = run_report("analyze", 0, args.tol, 0, rep, __version__)
-    dump_report(report, args.out)
-    return 2 if rep.verdict is Verdict.INCOMPATIBLE else 0
+    return rep, args.tol, 2 if rep.verdict is Verdict.INCOMPATIBLE else 0
 
 
-def cmd_freedom_sweep(args) -> int:
+def cmd_freedom_sweep(args):
     payload, falsified = freedom_sweep(
         args.dim, args.rank, args.trials, args.seed, args.tol
     )
-    report = run_report(
-        "freedom-sweep", args.seed, args.tol, args.trials, payload, __version__
-    )
-    dump_report(report, args.out)
-    return 3 if falsified else 0
+    return payload, args.tol, 3 if falsified else 0
 
 
-def cmd_n1_search(args) -> int:
+def cmd_n1_search(args):
     k1 = parse_matrix(load_json(args.k1_file), args.k1_file)
     frame = parse_frame(load_json(args.lambda_file), args.lambda_file, args.tol)
     rep = n1_covariance_search(k1, frame, args.trials, args.seed, tol=args.tol)
@@ -197,12 +195,10 @@ def cmd_n1_search(args) -> int:
         "none" if math.isinf(rep.min_residual) else f"{rep.min_residual:.3e}",
         rep.violation_count,
     )
-    report = run_report("n1-search", args.seed, args.tol, args.trials, rep, __version__)
-    dump_report(report, args.out)
-    return 3 if rep.violation_count else 0
+    return rep, args.tol, 3 if rep.violation_count else 0
 
 
-def cmd_scenario(args) -> int:
+def cmd_scenario(args):
     cfg = parse_scenario_config(load_json(args.config_file), args.config_file)
     result = run_scenario(cfg)
     _log(
@@ -211,9 +207,7 @@ def cmd_scenario(args) -> int:
         result.covariance_defect,
         result.verdict.value,
     )
-    report = run_report("scenario", 0, cfg.tol, 0, result, __version__)
-    dump_report(report, args.out)
-    return 2 if result.verdict is Verdict.INCOMPATIBLE else 0
+    return result, cfg.tol, 2 if result.verdict is Verdict.INCOMPATIBLE else 0
 
 
 def _add_common(parser, *, trials: bool) -> None:
@@ -302,7 +296,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _validate_flags(args)
-        return args.func(args)
+        results, tol, code = args.func(args)
+        seed, trials = getattr(args, "seed", 0), getattr(args, "trials", 0)
+        report = run_report(args.command, seed, tol, trials, results, __version__)
+        dump_report(report, args.out)
+        return code
     except (InputError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -24,9 +24,10 @@ import numpy as np
 
 from .channels import (
     CHANNEL_EQUALITY_TOL,
+    COMPLETENESS_TOL,
     DensityMatrix,
     KrausSet,
-    _check_completeness,
+    _INCOMPLETE,
     _conjugate,
     _derived_set,
     _factored_chois,
@@ -38,7 +39,7 @@ from .channels import (
 from .linalg import (
     _as_square,
     _blocks,
-    _gram_defects,
+    _check_gram,
     _haar_unitaries,
     _scaled,
     dagger,
@@ -76,18 +77,25 @@ __all__ = [
 UNITARY_TOL = 1e-10
 
 # Below this smallest Gram eigenvalue, taken as sigma_min(R_K)^2 from the
-# QR of the stacked Kraus vecs, the operators count as linearly dependent
-# and no mixing is extracted.
+# QR of the stacked Kraus vecs of the pair as extract_mixing compares it,
+# scaled to unit size, the operators count as linearly dependent and no
+# mixing is extracted.
 GRAM_MIN_EIGENVALUE = 1e-8
 
 # A candidate closer than this to the covariant solution (after optimal
 # phase alignment) counts as trivially covariant in searches and sweeps.
 PHASE_DISTANCE_FLOOR = 1e-6
 
+# The unitarity error, after the matrix's name, for ``linalg._check_gram``
+_NOT_UNITARY = " is not unitary: defect {defect:.3e}"
+
 
 @dataclass(frozen=True, eq=False)
 class _Unitary:
-    """A square complex matrix checked unitary within ``unitarity_tol``."""
+    """A square complex matrix checked unitary within ``unitarity_tol``.
+
+    The check is never tighter than ``UNITARY_TOL``.
+    """
 
     mat: np.ndarray
     unitarity_tol: InitVar[float] = UNITARY_TOL
@@ -96,19 +104,9 @@ class _Unitary:
 
     def __post_init__(self, unitarity_tol: float):
         mat = _as_square(self.mat, self._name)
-        _check_unitary(mat[None], self._name, unitarity_tol)
+        tol = max(UNITARY_TOL, unitarity_tol)
+        _check_gram(mat[None, None], tol, self._name + _NOT_UNITARY)
         object.__setattr__(self, "mat", mat)
-
-
-def _check_unitary(mats: np.ndarray, name: str, tol: float) -> None:
-    """The unitarity gate of ``_Unitary`` on each matrix of an ``(n, d, d)`` stack.
-
-    It checks at ``tol`` but never tighter than ``UNITARY_TOL``.
-    """
-    tol = max(UNITARY_TOL, tol)
-    for defect in _gram_defects(mats[:, None]):
-        if defect > tol:
-            raise ValueError(f"{name} is not unitary: defect {defect:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +134,7 @@ class MixingUnitary(_Unitary):
 def _random_unitaries(cls, d: int, seeds) -> np.ndarray:
     """``cls(random_unitary(d, seed)).mat`` for each seed, as one stack."""
     u = _haar_unitaries(d, seeds)
-    _check_unitary(u, cls._name, UNITARY_TOL)
+    _check_gram(u[:, None], UNITARY_TOL, cls._name + _NOT_UNITARY)
     return u
 
 
@@ -366,14 +364,11 @@ def _single_operator(mat, name: str, tol: float) -> np.ndarray:
     """``mat`` checked as the one operator of a trace-preserving set.
 
     Its unitarity defect is its completeness defect, so it gets
-    ``parse_kraus_set``'s completeness gate at ``tol``; errors are prefixed
-    with ``name``.
+    ``parse_kraus_set``'s completeness gate at ``tol``, with its error
+    prefixed by ``name``.
     """
     mat = _as_square(mat, name)
-    try:
-        _check_completeness(mat[None, None], tol)
-    except ValueError as e:
-        raise ValueError(f"{name}: {e}") from e
+    _check_gram(mat[None, None], max(COMPLETENESS_TOL, tol), f"{name}: {_INCOMPLETE}")
     return mat
 
 
@@ -607,45 +602,34 @@ def _assignment_distance(w: list) -> float:
     return math.sqrt(max(0.0, 2.0 * (n - total)))
 
 
-def _size(*stacks: np.ndarray) -> float:
-    """The largest real or imaginary part of any entry of ``stacks``."""
-    return max(np.abs(s.view(np.float64)).max() for s in stacks)
-
-
 def extract_mixing(
     k: KrausSet, l: KrausSet, tol: float = CHANNEL_EQUALITY_TOL
 ) -> MixingUnitary | None:
     """Recover the unitary V with ``L_A = sum_B V_AB K_B``, if one exists.
 
+    The pair is first scaled exactly to unit size (``linalg._scaled``: its
+    largest real or imaginary part in (0.5, 1]). Every test below then runs
+    once, at ``tol``, so ``extract_mixing(2^e K, 2^e L)`` is bitwise
+    ``extract_mixing(K, L)`` while the entries stay normal.
+
     Raises ValueError when the sets define different channels: their Choi
-    distance exceeds ``tol`` and ``tol`` times their squared size (the size
-    as below), so that roundoff in large sets is not read as a difference
-    (past the float range, on the pair scaled exactly to a size below 1).
-    Solves ``W_L = W_K V^T`` for the stacked vecs by QR least squares,
-    reusing the R that decided channel equality: with R_K its leading
-    N x N block, ``V^T = R_K^{-1} R[:N, N:]``. Returns None when there are
-    more operators than the d^2 dimensions of operator space, when
-    ``sigma_min(R_K)^2`` is at most ``GRAM_MIN_EIGENVALUE`` (linearly
-    dependent Kraus elements; R is that of the scaled stack for sets
-    whose distance overflowed), or when the solved V fails verification,
-    so a returned V is always correct: unitary within ``tol`` and
-    reconstructing every operator within ``tol * rank`` times the sets'
-    size, their largest real or imaginary part, or 1 if that is smaller.
+    distance exceeds ``tol``. Solves ``W_L = W_K V^T`` for the stacked vecs
+    by QR least squares, reusing the R that decided channel equality: with
+    R_K its leading N x N block, ``V^T = R_K^{-1} R[:N, N:]``. Returns None
+    when there are more operators than the d^2 dimensions of operator
+    space, when ``sigma_min(R_K)^2`` is at most ``GRAM_MIN_EIGENVALUE``
+    (linearly dependent Kraus elements), or when the solved V fails
+    verification, so a returned V is always correct: unitary within
+    ``tol`` and reconstructing every operator within ``tol * rank``.
     """
     if k.rank != l.rank:
         raise ValueError(f"rank mismatch: {k.rank} vs {l.rank}")
-    k_ops, l_ops = np.asarray(k.ops), np.asarray(l.ops)
-    (distance,), (r,) = _factored_chois(k_ops[None], l_ops[None])
-    if distance > tol:  # then relative to the sets' squared size, if above 1
-        size = _size(k_ops, l_ops)
-        if distance == math.inf:  # past the float range: scale the pair below size 1
-            unit = 2.0 ** -math.frexp(size)[1]
-            (distance,), _ = _factored_chois(unit * k_ops[None], unit * l_ops[None])
-            size *= unit
-        if not distance / size / size <= tol:
-            raise ValueError(
-                "the sets define different channels; no mixing unitary can relate them"
-            )
+    k_ops, l_ops, _ = _scaled([True], np.asarray(k.ops)[None], np.asarray(l.ops)[None])
+    (distance,), (r,) = _factored_chois(k_ops, l_ops)
+    if distance > tol:
+        raise ValueError(
+            "the sets define different channels; no mixing unitary can relate them"
+        )
     n = k.rank
     if n > k.dim * k.dim:
         return None
@@ -657,11 +641,7 @@ def extract_mixing(
     # a non-finite V has a NaN or infinite defect and must fail here
     if not unitarity_defect(v) <= tol:
         return None
-    with np.errstate(over="ignore", invalid="ignore"):  # huge sets: inf or NaN fails
-        miss = (l_ops - _mix(v, k_ops)).reshape(n, -1)
-        worst = float(np.linalg.norm(miss, axis=1).max())
-        if not worst <= tol * n:  # then relative to the sets' size, if above 1
-            worst = float(np.linalg.norm(miss / _size(k_ops, l_ops), axis=1).max())
-    if not worst <= tol * n:
+    miss = (l_ops[0] - _mix(v, k_ops[0])).reshape(n, -1)
+    if not float(np.linalg.norm(miss, axis=1).max()) <= tol * n:
         return None
     return _trusted(MixingUnitary, mat=_readonly(v))

@@ -78,12 +78,17 @@ def _frobenius_norms(mats: np.ndarray) -> list:
 def _scaled(overflowed, *stacks: np.ndarray):
     """``(n, ...)`` stacks with each ``overflowed`` member scaled by ``2^-e``, and e.
 
-    e takes a member's largest entry to [0.5, 1), and is 0 for the others.
-    A power of two scales every value in range exactly.
+    e takes a member's largest real or imaginary part to (0.5, 1], so a
+    member already of that size keeps e = 0, as do the others. ``np.ldexp``
+    scales each part by the power of two exactly, for every finite size,
+    subnormal ones included.
     """
-    top = np.max([np.abs(s).max(axis=tuple(range(1, s.ndim))) for s in stacks], 0)
-    e = np.where(overflowed, np.frexp(top)[1], 0)
-    return (*(s * np.ldexp(1.0, -e).reshape(-1, *(1,) * (s.ndim - 1)) for s in stacks), e)
+    parts = [np.ascontiguousarray(s).view(np.float64) for s in stacks]
+    top = np.max([np.abs(p).max(axis=tuple(range(1, p.ndim))) for p in parts], 0)
+    mantissa, e = np.frexp(top)
+    e = np.where(overflowed, e - (mantissa == 0.5), 0)
+    scaled = [np.ldexp(p, -e.reshape(-1, *(1,) * (p.ndim - 1))) for p in parts]
+    return (*(p.view(np.complex128) for p in scaled), e)
 
 
 def _gram_defects(ops: np.ndarray) -> list:
@@ -95,6 +100,17 @@ def _gram_defects(ops: np.ndarray) -> list:
     """
     acc = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=-3)
     return _frobenius_norms(acc - np.eye(ops.shape[-1]))
+
+
+def _check_gram(ops: np.ndarray, tol: float, message: str) -> None:
+    """Refuse an ``(n, N, d, d)`` stack holding a set whose Gram defect exceeds ``tol``.
+
+    The one entry gate of completeness and unitarity; the error is
+    ``message`` formatted with the ``defect`` and ``tol``.
+    """
+    for defect in _gram_defects(ops):
+        if defect > tol:
+            raise ValueError(message.format(defect=defect, tol=tol))
 
 
 def unitarity_defect(u: np.ndarray) -> float:

@@ -42,6 +42,7 @@ from covchan.covariance import (
 from covchan import covariance
 from covchan.covariance import _mix, _rank1_choi_residual, _verdict
 from covchan.linalg import (
+    _scaled,
     dagger,
     frobenius_distance,
     random_density,
@@ -839,6 +840,8 @@ class TestExtractMixing:
     def test_nearly_dependent_operators(self, d):
         # K = {A, A + delta B, C}: the smallest Gram eigenvalue falls like
         # delta^2 and crosses GRAM_MIN_EIGENVALUE inside the scanned range.
+        # The cutoff applies to the pair scaled to unit size: these Ginibre
+        # entries reach 2 to 3, a scale of 1/4.
         rng = spawn_rng(95, d)
         a, b, c = (
             rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -849,7 +852,9 @@ class TestExtractMixing:
         for delta in np.logspace(-7, -1, 25):
             k = KrausSet([a, a + delta * b, c], trace_preserving=False)
             l = mix_kraus(k, MixingUnitary(v0))
-            lam_min = float(np.linalg.eigvalsh(kraus_gram(k.ops))[0])
+            pair = np.asarray(k.ops)[None], np.asarray(l.ops)[None]
+            (unit,), _, _ = _scaled([True], *pair)
+            lam_min = float(np.linalg.eigvalsh(kraus_gram(unit))[0])
             got = extract_mixing(k, l)
             if got is None:
                 assert lam_min <= 1.01 * GRAM_MIN_EIGENVALUE, f"delta {delta:.1e}"
@@ -923,9 +928,9 @@ class TestLargeSets:
             # a returned V is verified
             got = extract_mixing(big, big)
             assert got is None or np.allclose(got.mat, np.eye(3))
-            # roundoff within tol of the squared size: one channel; from 1e300
-            # the Choi distance is past the float range and is measured again
-            # on the pair scaled below size 1
+            # the pair is compared scaled to unit size, so roundoff at its
+            # own size is not a difference; from 1e300 its Choi distance as
+            # given is past the float range
             assert (choi_distance(big, mixed) == math.inf) is (scale >= 1e300)
             got = extract_mixing(big, mixed)
             assert np.abs(got.mat - v.mat).max() <= 1e-12
@@ -935,7 +940,7 @@ class TestLargeSets:
     @pytest.mark.parametrize("scale", [2.0**300, 1e300])
     def test_equal_huge_sets_give_the_identity(self, scale):
         # the rebuilt operators miss by roundoff at the sets' size, far past
-        # tol * rank in absolute terms; the check is relative to that size
+        # tol * rank in absolute terms; the check runs on the pair at unit size
         k = random_kraus_set(4, 3, spawn_rng(59, 0))
         big = KrausSet([scale * op for op in k.ops], trace_preserving=False)
         with warnings.catch_warnings():
@@ -947,25 +952,24 @@ class TestLargeSets:
 
 class TestReconstructionBound:
     """A solved V is kept while each rebuilt operator misses by at most
-    ``tol * rank * max(1, largest real or imaginary part of the sets)``."""
+    ``tol * rank``, on the pair scaled to unit size."""
 
     @pytest.mark.parametrize("e", [-3, 0, 20])
     @pytest.mark.parametrize("within", [True, False])
     def test_bound_follows_the_sets_size(self, monkeypatch, e, within):
-        # equal sets: the rebuilt operators miss by the added amount alone
+        # equal sets: the rebuilt operators miss by the added amount alone,
+        # and _mix sees them at unit size whatever e is
         k = times_power_of_two(random_kraus_set(3, 3, spawn_rng(73, 0)), e)
-        size = np.abs(np.asarray(k.ops).view(np.float64)).max()
-        bound = CHANNEL_EQUALITY_TOL * 3 * max(1.0, size)
         miss = np.zeros((3, 3), dtype=complex)
-        miss[0, 0] = (0.9 if within else 1.1) * bound
+        miss[0, 0] = (0.9 if within else 1.1) * CHANNEL_EQUALITY_TOL * 3
         exact = covariance._mix
         monkeypatch.setattr(covariance, "_mix", lambda v, ops: exact(v, ops) + miss)
         assert (extract_mixing(k, k) is not None) is within
 
 
 class TestChannelGateOnLargeSets:
-    """Sets define one channel while their Choi distance is within ``tol``,
-    or within ``tol`` times their squared size when that is above 1."""
+    """Two sets define one channel while their Choi distance, taken on the
+    pair scaled to unit size, is within ``tol``."""
 
     K = random_kraus_set(3, 3, spawn_rng(73, 0))
     V = MixingUnitary(random_unitary(3, spawn_rng(73, 1)))
@@ -978,6 +982,15 @@ class TestChannelGateOnLargeSets:
         got = extract_mixing(k, lp)
         assert np.abs(got.mat - self.V.mat).max() <= 1e-12
 
+    def test_trace_preserving_pair_at_2_to_20_gives_v(self):
+        # a loose completeness_tol admits a trace-preserving set far from
+        # unit size; it is scaled to unit size like any other
+        k = random_kraus_set(3, 3, spawn_rng(5, 0))
+        big = KrausSet([2.0**20 * op for op in k.ops], completeness_tol=1e300)
+        v = MixingUnitary(random_unitary(3, spawn_rng(5, 1)))
+        got = extract_mixing(big, mix_kraus(big, v))
+        assert np.abs(got.mat - v.mat).max() <= 1e-12
+
     @pytest.mark.parametrize("e", [0, 20])
     def test_different_channels_still_raise(self, e):
         other = random_kraus_set(3, 3, spawn_rng(73, 2))
@@ -985,12 +998,74 @@ class TestChannelGateOnLargeSets:
             extract_mixing(times_power_of_two(self.K, e), times_power_of_two(other, e))
 
     def test_unit_size_sets_are_held_to_tol(self):
-        # entries below 1: a distance just past tol is a different channel
-        assert np.abs(np.asarray(self.K.ops).view(np.float64)).max() < 1.0
+        # entries in (0.5, 1] are at unit size already: a distance just past
+        # tol is a different channel
+        assert 0.5 < np.abs(np.asarray(self.K.ops).view(np.float64)).max() <= 1.0
         lp = KrausSet([op * (1 + 1e-9) for op in self.K.ops], trace_preserving=False)
         assert CHANNEL_EQUALITY_TOL < choi_distance(self.K, lp) < 10 * CHANNEL_EQUALITY_TOL
         with pytest.raises(ValueError, match="different channels"):
             extract_mixing(self.K, lp)
+
+    @pytest.mark.parametrize("factor", [0.9, 1.1])
+    def test_projector_of_size_one_is_held_to_tol(self, factor):
+        # {|0><0|} against {c |0><0|}: a largest part of exactly 1 is unit
+        # size already, so the pair is held to tol itself
+        p0 = np.diag([1.0, 0.0]).astype(complex)
+        c = math.sqrt(1 - factor * CHANNEL_EQUALITY_TOL)
+        k = KrausSet([p0], trace_preserving=False)
+        lp = KrausSet([c * p0], trace_preserving=False)
+        assert (choi_distance(k, lp) <= CHANNEL_EQUALITY_TOL) is (factor < 1)
+        if factor < 1:
+            assert extract_mixing(k, lp).mat[0, 0] == pytest.approx(c, abs=1e-15)
+        else:
+            with pytest.raises(ValueError, match="different channels"):
+                extract_mixing(k, lp)
+
+
+class TestScaleInvariance:
+    """A pair is compared at unit size, so scaling both sets by 2^e changes
+    nothing while the entries stay normal."""
+
+    K = random_kraus_set(3, 3, spawn_rng(5, 0))
+    V = random_unitary(3, spawn_rng(5, 1))
+    L = mix_kraus(K, MixingUnitary(V))
+    OTHER = random_kraus_set(3, 3, spawn_rng(5, 9))
+    EXPONENTS = [-1000, -300, -40, -17, -13, -3, 0, 3, 20, 300, 1000]
+
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_mixed_pair_gives_the_same_v(self, e):
+        want = extract_mixing(times_power_of_two(self.K, 0), times_power_of_two(self.L, 0))
+        got = extract_mixing(times_power_of_two(self.K, e), times_power_of_two(self.L, e))
+        assert got.mat.tobytes() == want.mat.tobytes()
+
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_different_channels_raise(self, e):
+        with pytest.raises(ValueError, match="different channels"):
+            extract_mixing(times_power_of_two(self.K, e), times_power_of_two(self.OTHER, e))
+
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_dependent_operators_give_none(self, e):
+        k = random_kraus_set(2, 5, spawn_rng(5, 2))
+        l = mix_kraus(k, MixingUnitary(random_unitary(5, spawn_rng(5, 3))))
+        dependent = KrausSet([S2 * I2, S2 * I2])
+        rotated = mix_kraus(dependent, MixingUnitary(H))
+        for a, b in ((k, l), (dependent, rotated)):
+            assert extract_mixing(times_power_of_two(a, e), times_power_of_two(b, e)) is None
+
+    @pytest.mark.parametrize("e", [-1040, -1060])
+    def test_subnormal_sets_raise_nothing_else(self, e):
+        # subnormal entries keep only some bits, so the mixed pair may give
+        # a V or read as different channels; nothing else, and no warning
+        k = times_power_of_two(self.K, e)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for other in (self.L, self.OTHER):
+                try:
+                    got = extract_mixing(k, times_power_of_two(other, e))
+                except ValueError as err:
+                    assert "different channels" in str(err)
+                else:
+                    assert got is None or unitarity_defect(got.mat) <= CHANNEL_EQUALITY_TOL
 
 
 def test_reports_are_plain_dataclasses():

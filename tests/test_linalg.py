@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from covchan.linalg import (
+    _scaled,
     as_cmatrix,
     dagger,
     frobenius_distance,
@@ -184,3 +185,18 @@ def test_unitarity_defect_passes_nan_through():
     u = np.eye(2, dtype=complex)
     u[0, 1] = np.nan
     assert math.isnan(unitarity_defect(u))
+
+
+@pytest.mark.parametrize(
+    "big", [1.5e308 + 1.5e308j, 1.5e308 - 1e300j, 3e-320 + 1e-321j, 2.0**600, 0.5j]
+)
+def test_scaled_is_exact_for_every_finite_size(big):
+    # the largest part goes to (0.5, 1] where the modulus overflows and
+    # where 2^-e does; scaling back by 2^e restores every entry bitwise
+    stack = np.array([[[big, 0.25 * big], [1e-3 * big, 0.0]], [[big, 1.0], [0.0, 0.0]]])
+    with np.errstate(all="raise"):
+        scaled, e = _scaled([True, False], stack)
+    assert 0.5 < np.abs(scaled[0].view(np.float64)).max() <= 1.0
+    assert e[1] == 0 and scaled[1].tobytes() == stack[1].tobytes()
+    back = np.ldexp(scaled[0].view(np.float64), e[0]).view(np.complex128)
+    assert back.tobytes() == stack[0].tobytes()
