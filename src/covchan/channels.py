@@ -12,10 +12,11 @@ The oracle is evaluated in factored form. Stacking the vecs of both sets
 as ``W = [vec K_1 ... vec K_N | vec L_1 ... vec L_M]`` gives
 ``C_K - C_L = W J W^dagger`` with ``J = diag(+1 x N, -1 x M)``; with the
 thin QR ``W = Q R`` the Choi distance is ``||R J R^dagger||_F``, an
-(N+M)-square matrix, so no d^2 x d^2 matrix is ever built; one stacked
-core, ``_factored_chois``, serves every caller. :func:`choi_matrix`
-builds the dense matrix, a plain read-only array, and is kept as the
-reference that the factored form is tested against.
+(N+M)-square matrix, so no d^2 x d^2 matrix is ever built. One stacked
+core, ``_factored_chois``, serves every caller but n1-search, which uses
+its two-column case written out as ``covariance._rank1_choi_residual``.
+:func:`choi_matrix` builds the dense matrix, a plain read-only array,
+and is kept as the reference that the factored form is tested against.
 
 Each value is checked once, where it enters: sets derived from checked
 ones (conjugated, mixed, embedded) are wrapped without re-checking. The

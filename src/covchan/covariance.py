@@ -34,7 +34,6 @@ from .channels import (
     _output_state,
     _readonly,
     _trusted,
-    choi_distance,
 )
 from .linalg import (
     _as_square,
@@ -183,11 +182,6 @@ def conjugate_kraus(k: KrausSet, f: FrameTransform) -> KrausSet:
     return _derived_set(k, lambda: _conjugate(f.mat, np.asarray(k.ops)))
 
 
-def _check_dims(k: KrausSet, lprime: KrausSet, f: FrameTransform) -> None:
-    if not (k.dim == lprime.dim == f.dim):
-        raise ValueError(f"dimension mismatch: {k.dim}, {lprime.dim}, frame {f.dim}")
-
-
 def compatibility_residual(k: KrausSet, lprime: KrausSet, f: FrameTransform) -> float:
     """How far the two frame accounts are from describing the same map.
 
@@ -197,8 +191,7 @@ def compatibility_residual(k: KrausSet, lprime: KrausSet, f: FrameTransform) -> 
     ``sum_A L'_A rho L'_A^dagger`` agree for every state, with no sampling
     involved.
     """
-    _check_dims(k, lprime, f)
-    return choi_distance(conjugate_kraus(k, f), lprime)
+    return analyze(k, lprime, f).residual
 
 
 def mix_kraus(k: KrausSet, v: MixingUnitary) -> KrausSet:
@@ -239,13 +232,12 @@ def _mixed_solution_trials(k: np.ndarray, f: np.ndarray, v: np.ndarray) -> list:
 
     ``k``, ``f`` and ``v`` are checked stacks of sets ``(n, N, d, d)``,
     frames ``(n, d, d)`` and mixings ``(n, N, N)``. Trial t is
-    :func:`make_noncovariant_solution` on ``(k[t], f[t], v[t])`` scored by
-    :func:`compatibility_residual`, :func:`covariant_distance` (or
-    :func:`phase_aligned_distance` at rank 1) and
-    :func:`phase_permutation_distance`, through the stacked cores those
-    run as one-member cases, so its values are bitwise theirs; the residual
-    is measured against the covariant solution. Products of unitary blocks
-    cannot overflow, so no finiteness check is needed.
+    :func:`make_noncovariant_solution` on ``(k[t], f[t], v[t])``, scored by
+    the cores :func:`analyze` runs as one-member cases, ``_factored_chois``
+    and ``_operator_distance`` (or :func:`phase_aligned_distance` at rank 1),
+    and by :func:`phase_permutation_distance`, so each value is bitwise the
+    public function's on that trial alone. Products of unitary blocks cannot
+    overflow, so no finiteness check is needed.
     """
     covariant = _conjugate(f[:, None], k)
     lprime = _mix(v, covariant)
@@ -262,18 +254,18 @@ def _mixed_solution_trials(k: np.ndarray, f: np.ndarray, v: np.ndarray) -> list:
 
 def covariant_distance(k: KrausSet, lprime: KrausSet, f: FrameTransform) -> float:
     """``max_A || L'_A - Lam K_A Lam^dagger ||_F``; inf on rank mismatch."""
-    _check_dims(k, lprime, f)
-    if k.rank != lprime.rank:
-        return math.inf
-    return _operator_distance([lprime.ops], [conjugate_kraus(k, f).ops])[0]
+    return analyze(k, lprime, f).covariant_distance
 
 
 def _operator_distance(a, b) -> list:
     """``max_A || a_A - b_A ||_F`` per member of two ``(n, N, d, d)`` stacks of sets.
 
-    A member whose distance overflows is measured again scaled by ``2^-e``
-    (``linalg._scaled``), and its distance scaled back by ``2^e``.
+    Infinite when the stacks' N differ, as no pairing exists. A member whose
+    distance overflows is measured again scaled by ``2^-e`` (``linalg._scaled``),
+    and its distance scaled back by ``2^e``.
     """
+    if len(a[0]) != len(b[0]):
+        return [math.inf] * len(a)
 
     def measure(a, b):
         return [max(map(frobenius_distance, x, y)) for x, y in zip(a, b)]
@@ -301,9 +293,15 @@ def analyze(
     f: FrameTransform,
     tol: float = CHANNEL_EQUALITY_TOL,
 ) -> CovarianceReport:
-    """Classify a two-frame pair: covariant, compatible, or incompatible."""
-    residual = compatibility_residual(k, lprime, f)
-    distance = covariant_distance(k, lprime, f)
+    """Classify a two-frame pair: covariant, compatible, or incompatible.
+
+    Both numbers are measured from one covariant set ``Lam K_A Lam^dagger``.
+    """
+    if not (k.dim == lprime.dim == f.dim):
+        raise ValueError(f"dimension mismatch: {k.dim}, {lprime.dim}, frame {f.dim}")
+    covariant = [conjugate_kraus(k, f).ops]
+    (residual,), _ = _factored_chois(covariant, [lprime.ops])
+    (distance,) = _operator_distance([lprime.ops], covariant)
     return CovarianceReport(
         residual=residual,
         covariant_distance=distance,

@@ -60,6 +60,11 @@ class TestSweepOracle:
             # one full block plus one: a d = 2, rank 4 trial's largest
             # stack member is its 8 x 8 complex sample, 1 KiB
             (2, 4, linalg._BLOCK_BYTES // 1024 + 1),
+            # the README's range: d up to 32, rank up to 16
+            (16, 1, 2),
+            (32, 2, 2),
+            (8, 16, 2),
+            (32, 16, 1),
         ],
     )
     def test_rows_are_the_per_trial_composition(self, dim, rank, trials):

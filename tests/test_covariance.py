@@ -319,6 +319,32 @@ class TestAnalyze:
         assert rep.verdict is Verdict.NONCOVARIANT_COMPATIBLE
         assert rep.residual <= 1e-9 < rep.covariant_distance
 
+    @pytest.mark.parametrize("kind", ["mixed", "rank mismatch", "overflow"])
+    def test_one_conjugation_gives_both_fields(self, monkeypatch, kind):
+        f = FrameTransform(random_unitary(2, 12))
+        mixed = make_noncovariant_solution(PHASE_DAMPING, f, MixingUnitary(H))
+        k, lp, f = {
+            "mixed": (PHASE_DAMPING, mixed, f),
+            "rank mismatch": (KrausSet([I2]), KrausSet([S2 * I2, S2 * I2]), IDENT_FRAME),
+            "overflow": (
+                KrausSet([np.full((2, 2), 1e200 + 0j)], trace_preserving=False),
+                KrausSet([I2]),
+                IDENT_FRAME,
+            ),
+        }[kind]
+        calls = []
+        conjugate = covariance.conjugate_kraus
+        monkeypatch.setattr(
+            covariance, "conjugate_kraus", lambda *args: calls.append(args) or conjugate(*args)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = analyze(k, lp, f)
+        assert len(calls) == 1
+        # the public functions return analyze's fields, bitwise
+        assert compatibility_residual(k, lp, f).hex() == rep.residual.hex()
+        assert covariant_distance(k, lp, f).hex() == rep.covariant_distance.hex()
+
     def test_incompatible_verdict(self):
         rep = analyze(KrausSet([I2]), KrausSet([X]), IDENT_FRAME)
         assert rep.verdict is Verdict.INCOMPATIBLE
