@@ -10,16 +10,23 @@ The package exports every name in the ``__all__`` of ``channels``,
 ``covariance``, ``linalg`` and ``scenario``, and ``__version__``.
 """
 
+import gc
 import os
 import sys
 
 # A CLI job runs small kernels, where an idle BLAS pool only burns CPU: it
-# runs BLAS on one thread unless the user chose a count. ``python -m covchan``
-# imports the package while ``sys.argv[0]`` is "-m"; the ``covchan`` script
-# is its own argv[0]. Other importers keep numpy's default.
+# runs BLAS on one thread unless the user chose a count. Its import heap lives
+# until exit: the collector stays off until ``cli.main`` freezes that heap, so
+# neither the job nor shutdown walks it again. The ``covchan`` script is its
+# own argv[0]; ``sys.argv[0]`` is "-m" while ``python -m`` imports any package,
+# so the command line must name covchan. Other importers keep both defaults.
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _entry = os.path.splitext(os.path.basename((sys.argv or [""])[0]))[0]
-if _entry in ("-m", "covchan") and "numpy" not in sys.modules:
+_args = sys.orig_argv
+_module = "-mcovchan" in _args or ("-m", "covchan") in zip(_args, _args[1:])
+_CLI_JOB = (_entry == "covchan" or _entry == "-m" and _module) and "numpy" not in sys.modules
+if _CLI_JOB:
+    gc.disable()
     if not any(name in os.environ for name in _THREAD_VARS):
         os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))
 

@@ -11,11 +11,12 @@ same inputs, flags, and seed give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
 
-from . import __version__
+from . import _CLI_JOB, __version__
 from .channels import CHANNEL_EQUALITY_TOL, _random_kraus_ops
 from .covariance import (
     FrameTransform,
@@ -292,6 +293,9 @@ def _validate_flags(args) -> None:
 
 
 def main(argv=None) -> int:
+    if _CLI_JOB:  # see covchan/__init__.py: the import heap is never walked again
+        gc.freeze()
+        gc.enable()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1001,34 +1001,36 @@ if __name__ == '__main__':
 """
 
 
+def _python(args, preset=(), stdin=None, cwd=None):
+    """``python ARGS`` in a child with none of the thread variables but ``preset``."""
+    src = os.path.dirname(os.path.dirname(covchan.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    path = env.get("PYTHONPATH")
+    env.update(preset, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, *args], input=stdin, capture_output=True, text=True,
+        env=env, cwd=cwd, timeout=120,
+    )
+
+
+@pytest.fixture(params=["module", "script"])
+def entry(request, tmp_path):
+    """The two ways to start a CLI job: ``-m covchan`` and the console script."""
+    if request.param == "module":
+        return ["-m", "covchan"]
+    script = tmp_path / "bin" / "covchan"
+    script.parent.mkdir()
+    script.write_text(_CONSOLE_SCRIPT)
+    return [str(script)]
+
+
 class TestBlasThreadPin:
     """A CLI job runs BLAS on one thread unless the user chose a count;
     ``import covchan`` from any other program changes nothing."""
 
-    @staticmethod
-    def _python(args, preset=(), stdin=None):
-        """``python ARGS`` in a child with none of the thread variables but ``preset``."""
-        src = os.path.dirname(os.path.dirname(covchan.__file__))
-        env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
-        path = env.get("PYTHONPATH")
-        env.update(preset, PYTHONPATH=src + (os.pathsep + path if path else ""))
-        return subprocess.run(
-            [sys.executable, *args], input=stdin, capture_output=True, text=True,
-            env=env, timeout=120,
-        )
-
-    @pytest.fixture(params=["module", "script"])
-    def entry(self, request, tmp_path):
-        if request.param == "module":
-            return ["-m", "covchan"]
-        script = tmp_path / "bin" / "covchan"
-        script.parent.mkdir()
-        script.write_text(_CONSOLE_SCRIPT)
-        return [str(script)]
-
     def _cli_thread_vars(self, entry, preset=()):
         # -i: once the CLI has exited, the interpreter runs stdin's line
-        proc = self._python(["-i", *entry, "--version"], preset, stdin=_PRINT_THREAD_VARS + "\n")
+        proc = _python(["-i", *entry, "--version"], preset, stdin=_PRINT_THREAD_VARS + "\n")
         version, values = proc.stdout.splitlines()
         assert version == f"covchan {covchan.__version__}"
         return json.loads(values)
@@ -1046,13 +1048,16 @@ class TestBlasThreadPin:
             "import os; before = dict(os.environ); import covchan, numpy; "
             "assert dict(os.environ) == before; print('ok')"
         )
-        proc = self._python(["-c", code])
+        proc = _python(["-c", code])
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
     def test_numpy_loaded_first_is_left_alone(self):
         # the pool exists once numpy is loaded: a late pin would only mislead
-        code = "import sys, numpy; sys.argv[0] = '-m'; import covchan; " + _PRINT_THREAD_VARS
-        proc = self._python(["-c", code])
+        code = (
+            "import sys, numpy; sys.argv[0] = '-m'; sys.orig_argv += ['-m', 'covchan']; "
+            "import covchan; " + _PRINT_THREAD_VARS
+        )
+        proc = _python(["-c", code])
         assert json.loads(proc.stdout) == [None, None, None]
 
     @pytest.mark.parametrize("kind", ["conjugated", "mixed"])
@@ -1070,7 +1075,7 @@ class TestBlasThreadPin:
             _write(tmp_path, "f.json", matrix_to_obj(f.mat)),
         ]
         unset, one, two = (
-            self._python(argv, preset)
+            _python(argv, preset)
             for preset in ({}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"})
         )
         for run in (unset, one, two):
@@ -1086,6 +1091,72 @@ class TestBlasThreadPin:
             residuals = got["results"].pop("residual"), want["results"].pop("residual")
             assert got == want
             assert abs(residuals[0] - residuals[1]) <= 1e-13
+
+_PRINT_GC_STATE = "import gc; print(gc.isenabled(), gc.get_freeze_count() > 0)"
+# the runner of an in-process job: a program that is not a CLI job
+_IN_PROCESS_MAIN = "import sys, covchan.cli; sys.exit(covchan.cli.main(sys.argv[1:]))"
+
+
+class TestCollectorFreeze:
+    """A CLI job keeps the cyclic collector off while it imports, then
+    freezes the import heap and collects what the job allocates; any other
+    program that imports covchan keeps the collector as it was."""
+
+    def test_cli_freezes_the_import_heap(self, entry):
+        proc = _python(["-i", *entry, "--version"], stdin=_PRINT_GC_STATE + "\n")
+        assert proc.stdout.splitlines() == [f"covchan {covchan.__version__}", "True True"]
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import covchan",
+            "import covchan.cli; covchan.cli.main(['freedom-sweep', '--trials', '2'])",
+            # `python -m covchan` emulated, with numpy loaded before covchan
+            "import sys, numpy; sys.argv[0] = '-m'; sys.orig_argv += ['-m', 'covchan']; "
+            "import covchan",
+        ],
+        ids=["import", "main", "numpy-first"],
+    )
+    def test_other_programs_keep_the_collector(self, code):
+        proc = _python(["-c", f"{code}\n{_PRINT_GC_STATE}"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[-1] == "True False"
+
+    def test_another_module_run_with_m_is_a_library_importer(self, tmp_path):
+        # argv[0] is "-m" while runpy imports this package, and covchan with it
+        pkg = tmp_path / "other"
+        pkg.mkdir()
+        (pkg / "__init__.py").write_text("import covchan\n")
+        (pkg / "__main__.py").write_text(f"{_PRINT_GC_STATE}\n{_PRINT_THREAD_VARS}\n")
+        proc = _python(["-m", "other"], cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines() == ["True False", "[null, null, null]"]
+
+    @pytest.mark.parametrize("command", ["analyze", "freedom-sweep", "n1-search", "scenario"])
+    def test_reports_match_an_in_process_job(self, fixtures, tmp_path, command):
+        k = random_kraus_set(3, 2, spawn_rng(27, 0))
+        f = FrameTransform(random_unitary(3, spawn_rng(27, 1)))
+        lp = mix_kraus(conjugate_kraus(k, f), MixingUnitary(random_unitary(2, spawn_rng(27, 2))))
+        argv = {
+            "analyze": [
+                "analyze",
+                _write(tmp_path, "k.json", _kraus_obj(k.ops)),
+                _write(tmp_path, "l.json", _kraus_obj(lp.ops)),
+                _write(tmp_path, "f.json", matrix_to_obj(f.mat)),
+            ],
+            "freedom-sweep": ["freedom-sweep", "--dim", "3", "--rank", "2", "--trials", "5"],
+            "n1-search": ["n1-search", fixtures["k1_ident"], fixtures["lam_ident"], "--trials", "20"],
+            "scenario": ["scenario", fixtures["scenario"]],
+        }[command]
+        # both children on one BLAS thread and with debug lines on stderr
+        env = {**dict.fromkeys(_THREAD_VARS, "1"), "COVCHAN_LOG": "debug"}
+        cli, lib = (_python([*runner, *argv], env) for runner in (
+            ["-m", "covchan"], ["-c", _IN_PROCESS_MAIN]
+        ))
+        assert lib.stdout.startswith("{")
+        assert (cli.returncode, cli.stderr) == (lib.returncode, lib.stderr)
+        _assert_same_text(cli.stdout, lib.stdout)
+
 
 class TestPublicSurface:
     """The package exports each module's ``__all__``, and ``__version__``."""
