@@ -347,10 +347,10 @@ def apply_to_matrix_units(k: KrausSet) -> list:
 def random_kraus_set(dim: int, rank: int, seed) -> KrausSet:
     """Haar-random trace-preserving channel with the requested rank.
 
-    Built from a Haar unitary on a space of dimension ``rank * dim`` by
-    slicing stacked d x d blocks of its first d columns; the unitarity of
-    the big matrix makes the completeness sum the identity exactly up to
-    QR roundoff.
+    Its operators are the d x d blocks of the first d columns of a Haar
+    unitary of size ``rank * dim``. Only those columns are factored, and they
+    are the full unitary's (``linalg._haar_unitaries``). They form an isometry,
+    so the completeness sum is the identity up to QR roundoff.
     """
     if dim < 1 or rank < 1:
         raise ValueError("dim and rank must be >= 1")
@@ -364,7 +364,6 @@ def _random_kraus_ops(dim: int, rank: int, seeds) -> np.ndarray:
     Every set passes ``KrausSet``'s completeness gate here, so callers wrap
     the operators without checking them again.
     """
-    u = _haar_unitaries(rank * dim, seeds)
-    ops = np.ascontiguousarray(u[:, :, :dim].reshape(len(seeds), rank, dim, dim))
+    ops = _haar_unitaries(rank * dim, seeds, dim).reshape(len(seeds), rank, dim, dim)
     _check_gram(ops, COMPLETENESS_TOL, _INCOMPLETE)
     return ops

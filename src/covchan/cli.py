@@ -96,8 +96,8 @@ def freedom_sweep(dim: int, rank: int, trials: int, seed: int, tol: float):
     if seed < 0:
         raise InputError("seed must be >= 0")
     per_trial = []
-    # the largest stacks: the rank*dim square samples behind the sets, and
-    # the d^2 x 2 rank vecs of the factored Choi distance
+    # per trial, at least its largest stacks: the d^2 x 2 rank vecs of the factored
+    # Choi distance, then the rank*dim x dim samples behind the sets, half that
     for block in _blocks(trials, 16 * dim * dim * rank * max(rank, 2)):
         k = _random_kraus_ops(dim, rank, [spawn_rng(seed, 0, i) for i in block])
         f = _random_unitaries(

@@ -140,16 +140,22 @@ def _blocks(n: int, member_bytes: int):
     return [range(i, min(n, i + size)) for i in range(0, n, size)]
 
 
-def _haar_unitaries(d: int, seeds) -> np.ndarray:
-    """One Haar ``d x d`` unitary per seed, as a writable ``(n, d, d)`` stack.
+def _haar_unitaries(d: int, seeds, cols: int | None = None) -> np.ndarray:
+    """The first ``cols`` (default all) columns of a Haar ``d x d`` unitary per seed.
 
-    Each member draws its Ginibre matrix from its own generator, and all go
-    through one stacked QR, which factors each member as it would alone.
+    A writable ``(n, d, cols)`` stack. Each member draws its two ``d x d``
+    Ginibre parts whole from its own generator; only their first ``cols``
+    columns go through one stacked QR, which factors each member as it would
+    alone. Householder Q's first ``cols`` columns depend on those alone, and
+    the R-diagonal phase fix makes them unique: the samples do not change.
     """
     g = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        g.append(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        g.append(
+            rng.standard_normal((d, d))[:, :cols]
+            + 1j * rng.standard_normal((d, d))[:, :cols]
+        )
     # rebinding drops the draws before QR makes its own copies
     g = np.stack(g)
     q, r = np.linalg.qr(g)

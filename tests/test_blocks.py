@@ -57,8 +57,8 @@ class TestSweepOracle:
             (2, 5, 6),  # more operators than d^2 = 4
             (1, 3, 6),  # d = 1
             (3, 2, 1),  # one trial
-            # one full block plus one: a d = 2, rank 4 trial's largest
-            # stack member is its 8 x 8 complex sample, 1 KiB
+            # one full block plus one: the sweep budgets a d = 2, rank 4
+            # trial at 16 d^2 rank max(rank, 2) bytes, 1 KiB
             (2, 4, linalg._BLOCK_BYTES // 1024 + 1),
             # the README's range: d up to 32, rank up to 16
             (16, 1, 2),
@@ -77,7 +77,7 @@ class TestSweepOracle:
 
     def test_small_blocks_give_the_same_report(self, monkeypatch):
         whole, _ = freedom_sweep(3, 3, 10, 5, 1e-9)
-        # three trials' samples per block
+        # three trials per block
         monkeypatch.setattr(linalg, "_BLOCK_BYTES", 16 * 9 * 9 * 3)
         blocked, _ = freedom_sweep(3, 3, 10, 5, 1e-9)
         assert repr(blocked) == repr(whole)
@@ -172,8 +172,8 @@ class TestGatesInBlocks:
     def _scale_member(self, monkeypatch, module, d):
         real = linalg._haar_unitaries
 
-        def sampler(dd, seeds):
-            u = real(dd, seeds)
+        def sampler(dd, seeds, cols=None):
+            u = real(dd, seeds, cols)
             if dd == d:
                 u[self.BAD] *= self.SCALE
             return u

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from covchan.channels import (
     KrausSet,
     _factored_chois,
     _kraus_images,
+    _random_kraus_ops,
     _readonly,
     _trusted,
     apply_channel,
@@ -28,6 +30,7 @@ from covchan.channels import (
 )
 from covchan.covariance import MixingUnitary, mix_kraus
 from covchan.linalg import (
+    _haar_unitaries,
     dagger,
     frobenius_distance,
     random_density,
@@ -571,3 +574,30 @@ class TestRandomKrausSet:
             random_kraus_set(0, 2, 0)
         with pytest.raises(ValueError):
             random_kraus_set(2, 0, 0)
+
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 16, 32])
+    def test_operators_are_the_full_unitarys_columns(self, d, n, members):
+        # the sets factor only the first d columns; slicing the whole
+        # n*d x n*d unitary of the same draws is the reference
+        def seeds():
+            return [spawn_rng(53, d, n, i) for i in range(members)]
+
+        ops = _random_kraus_ops(d, n, seeds())
+        full = _haar_unitaries(n * d, seeds())[:, :, :d].reshape(members, n, d, d)
+        assert ops.shape == (members, n, d, d)
+        assert np.abs(ops - full).max() <= 1e-14
+        for set_ops in ops:
+            KrausSet(list(set_ops))  # the completeness gate
+
+    def test_top_of_the_range_draws_no_full_unitary(self):
+        # d = 32, rank 16: the two 512 x 512 Ginibre parts take 4.2 MB; the
+        # QR of the whole 512 x 512 unitary would take about 17 MB
+        tracemalloc.start()
+        try:
+            random_kraus_set(32, 16, spawn_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
