@@ -144,25 +144,27 @@ class DensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Ordered list of same-dimension complex square operators.
+    """Ordered stack of same-dimension complex square operators.
 
-    ``rank`` is the number of operators; the index runs over measurement
-    branches or environment basis labels, flattened to a single subscript.
+    ``ops`` is one read-only, C-contiguous complex128 array of shape
+    ``(N, d, d)``, the stack the kernels take as it is; the constructor
+    checks each matrix of any sequence in turn, then stacks them once.
+    ``rank`` is N; the index runs over measurement branches or environment
+    basis labels, flattened to a single subscript.
     ``trace_preserving=False`` admits selective-measurement branch subsets,
     which deliberately fail completeness; the completeness invariant is
     enforced only when the flag is set, at ``completeness_tol`` but never
     tighter than ``COMPLETENESS_TOL``.
     """
 
-    ops: tuple
+    ops: np.ndarray
     trace_preserving: bool = True
     completeness_tol: InitVar[float] = COMPLETENESS_TOL
 
     def __post_init__(self, completeness_tol: float):
-        ops = tuple(
-            as_cmatrix(op, name=f"Kraus operator {i}")
-            for i, op in enumerate(self.ops)
-        )
+        ops = [
+            as_cmatrix(op, name=f"Kraus operator {i}") for i, op in enumerate(self.ops)
+        ]
         if not ops:
             raise ValueError("a Kraus set needs at least one operator")
         d = ops[0].shape[0]
@@ -171,14 +173,15 @@ class KrausSet:
                 raise ValueError(
                     f"Kraus operator {i} has shape {op.shape}, expected ({d}, {d})"
                 )
+        ops = _readonly(np.stack(ops))
         object.__setattr__(self, "ops", ops)
         if self.trace_preserving:
             tol = max(COMPLETENESS_TOL, completeness_tol)
-            _check_gram(np.asarray(ops)[None], tol, _INCOMPLETE)
+            _check_gram(ops[None], tol, _INCOMPLETE)
 
     @property
     def dim(self) -> int:
-        return self.ops[0].shape[0]
+        return self.ops.shape[-1]
 
     @property
     def rank(self) -> int:
@@ -235,7 +238,7 @@ def _output_state(out: np.ndarray) -> DensityMatrix:
 
 def completeness_defect(k: KrausSet) -> float:
     """``|| sum_A K_A^dagger K_A - I ||_F``; zero iff trace-preserving."""
-    return _gram_defects(np.asarray(k.ops)[None])[0]
+    return _gram_defects(k.ops[None])[0]
 
 
 def _derived_set(k: KrausSet, compute) -> KrausSet:
@@ -251,7 +254,7 @@ def _derived_set(k: KrausSet, compute) -> KrausSet:
     bad = ~np.isfinite(ops).all(axis=(1, 2))
     if bad.any():
         raise ValueError(f"Kraus operator {int(bad.argmax())}: entries must be finite")
-    return _trusted(KrausSet, ops=tuple(ops), trace_preserving=k.trace_preserving)
+    return _trusted(KrausSet, ops=ops, trace_preserving=k.trace_preserving)
 
 
 def choi_matrix(k: KrausSet) -> np.ndarray:
@@ -270,19 +273,18 @@ def choi_matrix(k: KrausSet) -> np.ndarray:
 def _factored_chois(k: np.ndarray, l: np.ndarray):
     """``(||C_K - C_L||_F, R)`` per member of operator stacks ``k`` and ``l``.
 
-    ``k`` is ``(n, N, d, d)`` and ``l`` ``(n, M, d, d)``, as arrays or
-    nested sequences. R is the triangular factor of ``W = [vec K_1 ... vec
-    K_N | vec L_1 ... vec L_M]``; its leading N x N block is the R of the K
-    vecs alone. The distance is ``||R J R^dagger||_F``, never the Gram
-    expansion, which cancels catastrophically (to about 1e-7 at d = 32)
-    exactly where channels are equal. Bitwise equal sets are exactly 0.0
+    ``k`` is an ``(n, N, d, d)`` and ``l`` an ``(n, M, d, d)`` complex array.
+    R is the triangular factor of ``W = [vec K_1 ... vec K_N | vec L_1 ...
+    vec L_M]``; its leading N x N block is the R of the K vecs alone. The
+    distance is ``||R J R^dagger||_F``, never the Gram expansion, which
+    cancels catastrophically (to about 1e-7 at d = 32) exactly where
+    channels are equal. Bitwise equal sets are exactly 0.0
     apart, which QR roundoff would not give. A member whose distance
     overflows (its entries are finite) is factored again scaled by
     ``2^-e`` (``linalg._scaled``), so its R is that of ``2^-e W``, and its
     distance is scaled back by ``2^2e``. Overflow warnings are silenced,
     so that a caller's finiteness check is all a user sees.
     """
-    k, l = np.asarray(k), np.asarray(l)
     n, n_k, d, _ = k.shape
     if l.shape[2:] != (d, d):
         raise ValueError(f"dimension mismatch: {d} vs {l.shape[-1]}")
@@ -290,7 +292,6 @@ def _factored_chois(k: np.ndarray, l: np.ndarray):
     # w[t, j, i, a] = op_a[i, j]: each W row is vec index i + d j, column-stacking
     w = np.empty((n, d, d, n_k + l.shape[1]), dtype=np.complex128)
     w[..., :n_k], w[..., n_k:] = k.transpose(0, 3, 2, 1), l.transpose(0, 3, 2, 1)
-    del k, l  # stacks made here from sequences are not held through the QR
     signs = np.where(np.arange(w.shape[-1]) < n_k, 1.0, -1.0)
 
     def factor(w):
@@ -310,9 +311,9 @@ def choi_distance(k: KrausSet, l: KrausSet) -> float:
     """Frobenius distance between Choi matrices; a metric on channels.
 
     Evaluated in factored form (see the module docstring). Bitwise
-    identical operator lists give exactly 0.0.
+    identical operator stacks give exactly 0.0.
     """
-    return _factored_chois([k.ops], [l.ops])[0][0]
+    return _factored_chois(k.ops[None], l.ops[None])[0][0]
 
 
 def channels_equal(k: KrausSet, l: KrausSet, tol: float = CHANNEL_EQUALITY_TOL) -> bool:
@@ -355,7 +356,7 @@ def random_kraus_set(dim: int, rank: int, seed) -> KrausSet:
     if dim < 1 or rank < 1:
         raise ValueError("dim and rank must be >= 1")
     ops = _readonly(_random_kraus_ops(dim, rank, [seed])[0])
-    return _trusted(KrausSet, ops=tuple(ops), trace_preserving=True)
+    return _trusted(KrausSet, ops=ops, trace_preserving=True)
 
 
 def _random_kraus_ops(dim: int, rank: int, seeds) -> np.ndarray:

@@ -17,17 +17,8 @@ import os
 import sys
 
 from . import _CLI_JOB, __version__
-from .channels import CHANNEL_EQUALITY_TOL, _random_kraus_ops
-from .covariance import (
-    FrameTransform,
-    MixingUnitary,
-    Verdict,
-    _mixed_solution_trials,
-    _random_unitaries,
-    analyze,
-    n1_covariance_search,
-)
-from .linalg import _blocks, spawn_rng
+from .channels import CHANNEL_EQUALITY_TOL
+from .covariance import Verdict, _mixed_solution_trials, analyze, n1_covariance_search
 from .scenario import run_scenario
 from .serialization import (
     InputError,
@@ -83,58 +74,46 @@ def freedom_sweep(dim: int, rank: int, trials: int, seed: int, tol: float):
     from the covariant solution. Each trial's ``mixing_distance`` is
     :func:`phase_permutation_distance`, which solves any rank.
 
-    Trials run in bounded blocks: each block's sets, frames and mixings
-    are drawn, checked and combined as stacked arrays no larger than a
-    fixed byte budget, set by ``dim`` and ``rank``, through the stacked
-    cores that ``analyze`` runs as one-member cases. Streams are keyed per
-    trial, and each row is bitwise the one that composing the public
-    functions for that trial gives, so the report does not depend on the
-    blocking.
+    The trials are drawn and scored by ``covariance._mixed_solution_trials``,
+    which owns their seeded streams and their block budget; each row is
+    bitwise the one that composing the public functions for that trial
+    gives. This function validates its arguments before anything is drawn,
+    then classifies, logs and summarizes the rows.
     """
     if dim < 1 or rank < 1 or trials < 1:
         raise InputError("dim, rank, and trials must all be >= 1")
     if seed < 0:
         raise InputError("seed must be >= 0")
     per_trial = []
-    # per trial, at least its largest stacks: the d^2 x 2 rank vecs of the factored
-    # Choi distance, then the rank*dim x dim samples behind the sets, half that
-    for block in _blocks(trials, 16 * dim * dim * rank * max(rank, 2)):
-        k = _random_kraus_ops(dim, rank, [spawn_rng(seed, 0, i) for i in block])
-        f = _random_unitaries(
-            FrameTransform, dim, [spawn_rng(seed, 1, i) for i in block]
-        )
-        v = _random_unitaries(
-            MixingUnitary, rank, [spawn_rng(seed, 2, i) for i in block]
-        )
-        rows = _mixed_solution_trials(k, f, v)
-        for i, (residual, distance, mixing_distance) in zip(block, rows):
-            nontrivial = mixing_distance > NONTRIVIAL_MIXING_FLOOR
-            trial_degenerate = nontrivial and distance <= NONTRIVIAL_MIXING_FLOOR
-            if trial_degenerate:
-                _log(
-                    "info",
-                    "trial %d: nontrivial mixing collapsed to distance %.3e",
-                    i,
-                    distance,
-                )
+    rows = _mixed_solution_trials(dim, rank, trials, seed)
+    for i, (residual, distance, mixing_distance) in enumerate(rows):
+        nontrivial = mixing_distance > NONTRIVIAL_MIXING_FLOOR
+        trial_degenerate = nontrivial and distance <= NONTRIVIAL_MIXING_FLOOR
+        if trial_degenerate:
             _log(
-                "debug",
-                "trial %d: residual %.3e distance %.3e mixing %.3e",
+                "info",
+                "trial %d: nontrivial mixing collapsed to distance %.3e",
                 i,
-                residual,
                 distance,
-                mixing_distance,
             )
-            per_trial.append(
-                {
-                    "trial": i,
-                    "residual": residual,
-                    "covariant_distance": distance,
-                    "mixing_distance": mixing_distance,
-                    "nontrivial_mixing": nontrivial,
-                    "degenerate": trial_degenerate,
-                }
-            )
+        _log(
+            "debug",
+            "trial %d: residual %.3e distance %.3e mixing %.3e",
+            i,
+            residual,
+            distance,
+            mixing_distance,
+        )
+        per_trial.append(
+            {
+                "trial": i,
+                "residual": residual,
+                "covariant_distance": distance,
+                "mixing_distance": mixing_distance,
+                "nontrivial_mixing": nontrivial,
+                "degenerate": trial_degenerate,
+            }
+        )
 
     # left folds from 0.0 and inf, as running ones: a NaN row is skipped
     max_residual = max([0.0, *(t["residual"] for t in per_trial)])

@@ -32,6 +32,7 @@ from .channels import (
     _derived_set,
     _factored_chois,
     _output_state,
+    _random_kraus_ops,
     _readonly,
     _trusted,
 )
@@ -179,7 +180,7 @@ def conjugate_kraus(k: KrausSet, f: FrameTransform) -> KrausSet:
     """
     if k.dim != f.dim:
         raise ValueError(f"dimension mismatch: set {k.dim} vs frame {f.dim}")
-    return _derived_set(k, lambda: _conjugate(f.mat, np.asarray(k.ops)))
+    return _derived_set(k, lambda: _conjugate(f.mat, k.ops))
 
 
 def compatibility_residual(k: KrausSet, lprime: KrausSet, f: FrameTransform) -> float:
@@ -203,7 +204,7 @@ def mix_kraus(k: KrausSet, v: MixingUnitary) -> KrausSet:
     """
     if v.rank != k.rank:
         raise ValueError(f"rank mismatch: mixing {v.rank} vs set {k.rank}")
-    return _derived_set(k, lambda: _mix(v.mat, np.asarray(k.ops)))
+    return _derived_set(k, lambda: _mix(v.mat, k.ops))
 
 
 def _mix(v: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -227,29 +228,39 @@ def make_noncovariant_solution(
     return mix_kraus(conjugate_kraus(k, f), v)
 
 
-def _mixed_solution_trials(k: np.ndarray, f: np.ndarray, v: np.ndarray) -> list:
+def _mixed_solution_trials(dim: int, rank: int, trials: int, seed: int):
     """Residual, covariant and mixing distance of the mixed solution, per trial.
 
-    ``k``, ``f`` and ``v`` are checked stacks of sets ``(n, N, d, d)``,
-    frames ``(n, d, d)`` and mixings ``(n, N, N)``. Trial t is
-    :func:`make_noncovariant_solution` on ``(k[t], f[t], v[t])``, scored by
-    the cores :func:`analyze` runs as one-member cases, ``_factored_chois``
-    and ``_operator_distance`` (or :func:`phase_aligned_distance` at rank 1),
-    and by :func:`phase_permutation_distance`, so each value is bitwise the
-    public function's on that trial alone. Products of unitary blocks cannot
+    Yields one row per trial, in trial order. Trial i draws its set, frame
+    and mixing from the streams ``(seed, 0, i)``, ``(seed, 1, i)`` and
+    ``(seed, 2, i)`` (``linalg.spawn_rng``), each checked by its
+    constructor's gate, and is :func:`make_noncovariant_solution` on them,
+    scored by the cores :func:`analyze` runs as one-member cases,
+    ``_factored_chois`` and ``_operator_distance`` (or
+    :func:`phase_aligned_distance` at rank 1), and by
+    :func:`phase_permutation_distance`, so each value is bitwise the public
+    function's on that trial alone. Trials are drawn and scored as stacks,
+    a block at a time (``linalg._blocks``), each trial budgeted at its
+    largest stack, the ``(d^2, 2 rank)`` vecs of ``_factored_chois``; the
+    rows do not depend on the blocking. Products of unitary blocks cannot
     overflow, so no finiteness check is needed.
     """
-    covariant = _conjugate(f[:, None], k)
-    lprime = _mix(v, covariant)
-    residuals, _ = _factored_chois(covariant, lprime)
-    if k.shape[1] == 1:
-        distances = [
-            phase_aligned_distance(c[0], l[0])[0] for c, l in zip(covariant, lprime)
-        ]
-    else:
-        distances = _operator_distance(lprime, covariant)
-    mixing = [_assignment_distance(row) for row in np.abs(v).tolist()]
-    return list(zip(residuals, distances, mixing))
+    for block in _blocks(trials, 32 * dim * dim * rank):
+        streams = [[spawn_rng(seed, part, i) for i in block] for part in range(3)]
+        k = _random_kraus_ops(dim, rank, streams[0])
+        f = _random_unitaries(FrameTransform, dim, streams[1])
+        v = _random_unitaries(MixingUnitary, rank, streams[2])
+        covariant = _conjugate(f[:, None], k)
+        lprime = _mix(v, covariant)
+        residuals, _ = _factored_chois(covariant, lprime)
+        if rank == 1:
+            distances = [
+                phase_aligned_distance(c[0], l[0])[0] for c, l in zip(covariant, lprime)
+            ]
+        else:
+            distances = _operator_distance(lprime, covariant)
+        mixing = [_assignment_distance(row) for row in np.abs(v).tolist()]
+        yield from zip(residuals, distances, mixing)
 
 
 def covariant_distance(k: KrausSet, lprime: KrausSet, f: FrameTransform) -> float:
@@ -257,14 +268,14 @@ def covariant_distance(k: KrausSet, lprime: KrausSet, f: FrameTransform) -> floa
     return analyze(k, lprime, f).covariant_distance
 
 
-def _operator_distance(a, b) -> list:
-    """``max_A || a_A - b_A ||_F`` per member of two ``(n, N, d, d)`` stacks of sets.
+def _operator_distance(a: np.ndarray, b: np.ndarray) -> list:
+    """``max_A || a_A - b_A ||_F`` per member of two ``(n, N, d, d)`` arrays of sets.
 
     Infinite when the stacks' N differ, as no pairing exists. A member whose
     distance overflows is measured again scaled by ``2^-e`` (``linalg._scaled``),
     and its distance scaled back by ``2^e``.
     """
-    if len(a[0]) != len(b[0]):
+    if a.shape[1] != b.shape[1]:
         return [math.inf] * len(a)
 
     def measure(a, b):
@@ -273,7 +284,7 @@ def _operator_distance(a, b) -> list:
     with np.errstate(over="ignore", invalid="ignore"):
         distances = measure(a, b)
         if not all(map(math.isfinite, distances)):
-            a, b, e = _scaled(~np.isfinite(distances), np.asarray(a), np.asarray(b))
+            a, b, e = _scaled(~np.isfinite(distances), a, b)
             distances = np.ldexp(measure(a, b), e).tolist()
     return distances
 
@@ -299,9 +310,9 @@ def analyze(
     """
     if not (k.dim == lprime.dim == f.dim):
         raise ValueError(f"dimension mismatch: {k.dim}, {lprime.dim}, frame {f.dim}")
-    covariant = [conjugate_kraus(k, f).ops]
-    (residual,), _ = _factored_chois(covariant, [lprime.ops])
-    (distance,) = _operator_distance([lprime.ops], covariant)
+    covariant = conjugate_kraus(k, f).ops[None]
+    (residual,), _ = _factored_chois(covariant, lprime.ops[None])
+    (distance,) = _operator_distance(lprime.ops[None], covariant)
     return CovarianceReport(
         residual=residual,
         covariant_distance=distance,
@@ -622,7 +633,7 @@ def extract_mixing(
     """
     if k.rank != l.rank:
         raise ValueError(f"rank mismatch: {k.rank} vs {l.rank}")
-    k_ops, l_ops, _ = _scaled([True], np.asarray(k.ops)[None], np.asarray(l.ops)[None])
+    k_ops, l_ops, _ = _scaled([True], k.ops[None], l.ops[None])
     (distance,), (r,) = _factored_chois(k_ops, l_ops)
     if distance > tol:
         raise ValueError(

@@ -230,14 +230,10 @@ def embed_local(k: KrausSet, target: Target, dim_a: int, dim_b: int) -> KrausSet
     if target is Target.SUBSYSTEM_A:
         if k.dim != dim_a:
             raise ValueError(f"set dim {k.dim} does not match subsystem A ({dim_a})")
-        eye = np.eye(dim_b)
-        ops = [np.kron(op, eye) for op in k.ops]
-    else:
-        if k.dim != dim_b:
-            raise ValueError(f"set dim {k.dim} does not match subsystem B ({dim_b})")
-        eye = np.eye(dim_a)
-        ops = [np.kron(eye, op) for op in k.ops]
-    return _derived_set(k, lambda: ops)
+        return _derived_set(k, lambda: np.kron(k.ops, np.eye(dim_b)))
+    if k.dim != dim_b:
+        raise ValueError(f"set dim {k.dim} does not match subsystem B ({dim_b})")
+    return _derived_set(k, lambda: np.kron(np.eye(dim_a), k.ops))
 
 
 def _probabilities(images: np.ndarray) -> list:
@@ -307,7 +303,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             l_joint = embed_local(iv.sprime_kraus, iv.target, cfg.dim_a, cfg.dim_b)
         elif iv.mixing is not None:
             l_joint = mix_kraus(covariant, iv.mixing)
-        (distance,) = _operator_distance([l_joint.ops], [covariant.ops])
+        (distance,) = _operator_distance(l_joint.ops[None], covariant.ops[None])
         representation_distance = max(representation_distance, distance)
         n_branches *= k_joint.rank
         if n_branches > _MAX_BRANCHES:

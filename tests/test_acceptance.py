@@ -54,6 +54,10 @@ def kraus_gram(ops) -> np.ndarray:
 
 
 DIMS = (2, 3, 4)
+# Stratified cases toward the README's range, run after each criterion's
+# small rows with the trial indices that follow theirs: d up to 32, rank up to 16
+LARGE = [(d, n) for d in (8, 16, 32) for n in (1, 2, 4, 16)]
+LARGE_MIXED = [(d, n) for d, n in LARGE if n > 1]  # rank 1 mixes only phases
 S2 = 1.0 / np.sqrt(2.0)
 I2 = np.eye(2, dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -84,9 +88,8 @@ def _kraus_obj(ops):
 
 def test_conjugated_set_always_solves_compatibility():
     with criterion("1. conjugated Kraus set solves frame compatibility", 10.0):
-        for trial in range(1000):
-            d = DIMS[trial % 3]
-            n = trial % 6 + 1
+        cases = [(DIMS[trial % 3], trial % 6 + 1) for trial in range(1000)]
+        for trial, (d, n) in enumerate(cases + LARGE):
             k = random_kraus_set(d, n, spawn_rng(101, trial, 0))
             f = FrameTransform(random_unitary(d, spawn_rng(101, trial, 1)))
             res = compatibility_residual(k, conjugate_kraus(k, f), f)
@@ -97,9 +100,9 @@ def test_mixing_family_gives_distinct_compatible_solutions():
     with criterion("2. mixed solutions compatible yet noncovariant", 30.0):
         hits = 0
         degenerate = []
-        for trial in range(1000):
-            d = DIMS[trial % 3]
-            n = 2 + trial % 3
+        cases = [(DIMS[trial % 3], 2 + trial % 3) for trial in range(1000)]
+        cases += LARGE_MIXED
+        for trial, (d, n) in enumerate(cases):
             k = random_kraus_set(d, n, spawn_rng(202, trial, 0))
             f = FrameTransform(random_unitary(d, spawn_rng(202, trial, 1)))
             draw = 0
@@ -117,7 +120,9 @@ def test_mixing_family_gives_distinct_compatible_solutions():
                 degenerate.append(trial)
         if degenerate:
             print(f"degenerate draws (logged, not failed): {degenerate}")
-        assert hits >= 990, f"only {hits}/1000 trials gave a distinct solution"
+        assert hits >= len(cases) - 10, (
+            f"only {hits}/{len(cases)} trials gave a distinct solution"
+        )
 
 
 def test_single_operator_rigidity(tmp_path):
@@ -158,10 +163,11 @@ def test_single_operator_rigidity(tmp_path):
 def test_choi_oracle_matches_matrix_unit_oracle():
     with criterion("4. Choi equality agrees with matrix-unit oracle", 10.0):
         disagreements = []
+        cases = []
         for trial in range(500):
             rng = spawn_rng(404, trial)
-            d = int(rng.integers(2, 5))
-            n = int(rng.integers(1, 6))
+            cases.append((int(rng.integers(2, 5)), int(rng.integers(1, 6))))
+        for trial, (d, n) in enumerate(cases + LARGE):
             k = random_kraus_set(d, n, spawn_rng(404, trial, 0))
             if trial % 2 == 0:
                 v = MixingUnitary(random_unitary(n, spawn_rng(404, trial, 1)))
@@ -182,10 +188,12 @@ def test_mixing_extraction_round_trip():
     with criterion("5. mixing extraction recovers V or returns None", 10.0):
         recovered = 0
         declined = 0
+        cases = []
         for trial in range(500):
             rng = spawn_rng(505, trial)
-            d = int(rng.integers(2, 5))
-            n = int(rng.integers(2, 6))
+            cases.append((int(rng.integers(2, 5)), int(rng.integers(2, 6))))
+        # trial 504 of the stratified cases, d = 16, is a dependent set too
+        for trial, (d, n) in enumerate(cases + LARGE_MIXED):
             k = random_kraus_set(d, n, spawn_rng(505, trial, 0))
             if trial % 5 == 4:
                 # force linear dependence: split the last operator in two

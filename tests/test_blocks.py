@@ -58,8 +58,8 @@ class TestSweepOracle:
             (1, 3, 6),  # d = 1
             (3, 2, 1),  # one trial
             # one full block plus one: the sweep budgets a d = 2, rank 4
-            # trial at 16 d^2 rank max(rank, 2) bytes, 1 KiB
-            (2, 4, linalg._BLOCK_BYTES // 1024 + 1),
+            # trial at its (d^2, 2 rank) vecs, 32 d^2 rank bytes, 512 B
+            (2, 4, linalg._BLOCK_BYTES // 512 + 1),
             # the README's range: d up to 32, rank up to 16
             (16, 1, 2),
             (32, 2, 2),
@@ -78,7 +78,7 @@ class TestSweepOracle:
     def test_small_blocks_give_the_same_report(self, monkeypatch):
         whole, _ = freedom_sweep(3, 3, 10, 5, 1e-9)
         # three trials per block
-        monkeypatch.setattr(linalg, "_BLOCK_BYTES", 16 * 9 * 9 * 3)
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", 32 * 9 * 3 * 3)
         blocked, _ = freedom_sweep(3, 3, 10, 5, 1e-9)
         assert repr(blocked) == repr(whole)
 

@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import times_power_of_two
+from conftest import matrix_to_obj, times_power_of_two
+from covchan import channels, covariance
 from covchan.channels import (
     CHANNEL_EQUALITY_TOL,
     STATE_TOL,
@@ -28,7 +29,7 @@ from covchan.channels import (
     random_kraus_set,
     vec,
 )
-from covchan.covariance import MixingUnitary, mix_kraus
+from covchan.covariance import FrameTransform, MixingUnitary, conjugate_kraus, mix_kraus
 from covchan.linalg import (
     _haar_unitaries,
     dagger,
@@ -37,6 +38,8 @@ from covchan.linalg import (
     random_unitary,
     spawn_rng,
 )
+from covchan.scenario import Target, embed_local
+from covchan.serialization import parse_kraus_set
 
 
 def kraus_gram(ops) -> np.ndarray:
@@ -255,6 +258,63 @@ class TestKrausSet:
     def test_unflagged_branches_allowed(self):
         branch = KrausSet([np.diag([1, 0]).astype(complex)], trace_preserving=False)
         assert branch.rank == 1
+
+
+# Every way a Kraus set is made; the constructor also from real and
+# Fortran-ordered operators, which it stacks as C-ordered complex128
+_SET_MAKERS = {
+    "constructor": lambda: KrausSet((S2 * I2, S2 * Z)),
+    "constructor-real-transposed": lambda: KrausSet([S2 * np.eye(2), (S2 * Z.real).T]),
+    "parse_kraus_set": lambda: parse_kraus_set(
+        {"dim": 2, "ops": [matrix_to_obj(op) for op in PHASE_DAMPING.ops]}, "k"
+    ),
+    "conjugate_kraus": lambda: conjugate_kraus(
+        PHASE_DAMPING, FrameTransform(random_unitary(2, 5))
+    ),
+    "mix_kraus": lambda: mix_kraus(BIT_FLIP, MixingUnitary(random_unitary(2, 6))),
+    "embed_local-A": lambda: embed_local(BIT_FLIP, Target.SUBSYSTEM_A, 2, 3),
+    "embed_local-B": lambda: embed_local(BIT_FLIP, Target.SUBSYSTEM_B, 3, 2),
+    "random_kraus_set": lambda: random_kraus_set(3, 4, 7),
+}
+
+
+@pytest.mark.parametrize("how", sorted(_SET_MAKERS))
+class TestOperatorStack:
+    """``KrausSet.ops`` is the ``(N, d, d)`` array the kernels take, as it is."""
+
+    def test_ops_is_one_readonly_stack(self, how):
+        k = _SET_MAKERS[how]()
+        assert type(k.ops) is np.ndarray
+        assert k.ops.shape == (k.rank, k.dim, k.dim)
+        assert k.ops.dtype == np.complex128
+        assert k.ops.flags.c_contiguous
+        assert not k.ops.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            k.ops[0, 0, 0] = 1.0
+
+    def test_kernels_read_the_stack_without_a_copy(self, how, monkeypatch):
+        k = _SET_MAKERS[how]()
+        assert np.asarray(k.ops) is k.ops
+        seen = []
+
+        def spy(kernel, *picks):
+            def wrapped(*args):
+                seen.extend(args[i] for i in picks)
+                return kernel(*args)
+
+            return wrapped
+
+        # conjugate_kraus and _kraus_images hand the stack itself to the
+        # product; choi_distance hands _factored_chois views of it
+        monkeypatch.setattr(covariance, "_conjugate", spy(channels._conjugate, 1))
+        monkeypatch.setattr(channels, "_conjugate", spy(channels._conjugate, 0))
+        monkeypatch.setattr(channels, "_factored_chois", spy(_factored_chois, 0, 1))
+        conjugate_kraus(k, FrameTransform(np.eye(k.dim)))
+        _kraus_images(k.ops, np.eye(k.dim))
+        choi_distance(k, k)
+        assert seen[0] is k.ops and seen[1] is k.ops
+        assert len(seen) == 4
+        assert all(np.shares_memory(x, k.ops) for x in seen[2:])
 
 
 class TestCompletenessDefect:

@@ -445,7 +445,7 @@ class TestFreedomSweepCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("sampled with a negative seed")
 
-        monkeypatch.setattr("covchan.cli._random_kraus_ops", refuse)
+        monkeypatch.setattr("covchan.covariance._random_kraus_ops", refuse)
         monkeypatch.setattr("covchan.cli.n1_covariance_search", refuse)
         argv = {
             "freedom-sweep": ["freedom-sweep", "--seed", "-5"],
@@ -463,7 +463,7 @@ class TestFreedomSweepCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("sampled with a negative seed")
 
-        monkeypatch.setattr("covchan.cli._random_kraus_ops", refuse)
+        monkeypatch.setattr("covchan.covariance._random_kraus_ops", refuse)
         with pytest.raises(ValueError) as exc:
             freedom_sweep(2, 2, trials, -1, 1e-9)
         assert str(exc.value) == "seed must be >= 0"
