@@ -7,10 +7,13 @@ and test the single-operator rigidity that pins the frame-transformed
 operator down to a global phase.
 
 The package exports every name in the ``__all__`` of ``channels``,
-``covariance``, ``linalg`` and ``scenario``, and ``__version__``.
+``covariance``, ``linalg``, ``rigidity`` and ``scenario``, and
+``__version__``. ``rigidity`` and ``scenario`` each serve one command, so
+they load on first access to one of their names, which is then bound here.
 """
 
 import gc
+import importlib
 import os
 import sys
 
@@ -30,18 +33,36 @@ if _CLI_JOB:
     if not any(name in os.environ for name in _THREAD_VARS):
         os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))
 
-from . import channels, covariance, linalg, scenario
+from . import channels, covariance, linalg
 from .channels import *  # noqa: F403
 from .covariance import *  # noqa: F403
 from .linalg import *  # noqa: F403
-from .scenario import *  # noqa: F403
 
 __version__ = "0.4.0"
 
+_LAZY = dict.fromkeys(
+    ("N1CheckResult", "N1SearchReport", "N1Violation", "PhaseEquivalence",
+     "n1_covariance_search", "n1_uniqueness_check"),
+    "rigidity",
+) | dict.fromkeys(
+    ("NULL_BRANCH_PROB", "Intervention", "InterventionRecord", "ScenarioConfig",
+     "ScenarioResult", "Target", "embed_local", "run_scenario"),
+    "scenario",
+)
+
 __all__ = [
-    *channels.__all__,
-    *covariance.__all__,
-    *linalg.__all__,
-    *scenario.__all__,
-    "__version__",
+    *channels.__all__, *covariance.__all__, *linalg.__all__, *_LAZY, "__version__"
 ]
+
+
+def __getattr__(name):
+    """``rigidity``, ``scenario`` or one of their names, loaded on first access.
+
+    A name is bound here once found, so each is looked up only once.
+    """
+    if name in ("rigidity", "scenario"):
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value = getattr(__getattr__(_LAZY[name]), name)
+    return value

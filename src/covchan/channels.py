@@ -14,7 +14,7 @@ as ``W = [vec K_1 ... vec K_N | vec L_1 ... vec L_M]`` gives
 thin QR ``W = Q R`` the Choi distance is ``||R J R^dagger||_F``, an
 (N+M)-square matrix, so no d^2 x d^2 matrix is ever built. One stacked
 core, ``_factored_chois``, serves every caller but n1-search, which uses
-its two-column case written out as ``covariance._rank1_choi_residual``.
+its two-column case written out as ``rigidity._rank1_choi_residual``.
 :func:`choi_matrix` builds the dense matrix, a plain read-only array,
 and is kept as the reference that the factored form is tested against.
 
@@ -29,6 +29,7 @@ operator sum goes through ``_kraus_images``, its batched branch images.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import InitVar, dataclass
 
@@ -50,6 +51,7 @@ __all__ = [
     "CHANNEL_EQUALITY_TOL",
     "COMPLETENESS_TOL",
     "STATE_TOL",
+    "Branches",
     "DensityMatrix",
     "KrausSet",
     "apply_channel",
@@ -186,6 +188,34 @@ class KrausSet:
     @property
     def rank(self) -> int:
         return len(self.ops)
+
+
+@dataclass(frozen=True, eq=False)
+class Branches:
+    """The leaves of the outcome tree as read-only columns, one row per leaf.
+
+    Leaf ``i`` is the outcome sequence ``list(sequences)[i]``, over
+    ``counts`` branches per intervention. Rows of ``probabilities``, of
+    ``live`` (above ``scenario.NULL_BRANCH_PROB``) and of ``states``
+    (renormalized, shape ``(L, 2, d, d)``, NaN where null) hold frame S,
+    then frame S'. ``states`` is the array the tree grew in: each frame's
+    column ``states[:, f]`` held every level of that frame's tree in turn.
+    ``scenario`` builds it; it is defined here so that the report writer
+    knows it without loading ``scenario``.
+    """
+
+    counts: np.ndarray
+    probabilities: np.ndarray
+    live: np.ndarray
+    states: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.probabilities)
+
+    @property
+    def sequences(self):
+        """Each leaf's outcome sequence, as a tuple of ints, in leaf order."""
+        return itertools.product(*map(range, self.counts.tolist()))
 
 
 def _conjugate(u: np.ndarray, m: np.ndarray) -> np.ndarray:

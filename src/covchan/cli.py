@@ -18,8 +18,7 @@ import sys
 
 from . import _CLI_JOB, __version__
 from .channels import CHANNEL_EQUALITY_TOL
-from .covariance import Verdict, _mixed_solution_trials, analyze, n1_covariance_search
-from .scenario import run_scenario
+from .covariance import Verdict, _mixed_solution_trials, analyze
 from .serialization import (
     InputError,
     dump_report,
@@ -40,6 +39,20 @@ __all__ = [
 # A mixing unitary closer than this to phase-times-permutation counts as a
 # trivial relabeling in sweep classification.
 NONTRIVIAL_MIXING_FLOOR = 1e-3
+
+
+# run_scenario and n1_covariance_search load their modules, which only their
+# commands need, on first use. Their handlers call them as attributes of this
+# module, so a function bound over either one here is the one they run.
+def __getattr__(name):
+    if name == "run_scenario":
+        from .scenario import run_scenario as fn
+    elif name == "n1_covariance_search":
+        from .rigidity import n1_covariance_search as fn
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = fn
+    return fn
 
 
 class _Parser(argparse.ArgumentParser):
@@ -167,7 +180,8 @@ def cmd_freedom_sweep(args):
 def cmd_n1_search(args):
     k1 = parse_matrix(load_json(args.k1_file), args.k1_file)
     frame = parse_frame(load_json(args.lambda_file), args.lambda_file, args.tol)
-    rep = n1_covariance_search(k1, frame, args.trials, args.seed, tol=args.tol)
+    search = sys.modules[__name__].n1_covariance_search
+    rep = search(k1, frame, args.trials, args.seed, tol=args.tol)
     _log(
         "info",
         "n1-search: examined %d candidates, min constrained residual %s, %d violations",
@@ -180,7 +194,7 @@ def cmd_n1_search(args):
 
 def cmd_scenario(args):
     cfg = parse_scenario_config(load_json(args.config_file), args.config_file)
-    result = run_scenario(cfg)
+    result = sys.modules[__name__].run_scenario(cfg)
     _log(
         "info",
         "scenario: covariance defect %.3e verdict %s",

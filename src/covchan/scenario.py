@@ -17,7 +17,6 @@ never folded into the defect.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +24,7 @@ import numpy as np
 
 from .channels import (
     CHANNEL_EQUALITY_TOL,
+    Branches,
     DensityMatrix,
     KrausSet,
     _conjugate,
@@ -47,7 +47,6 @@ from .linalg import _blocks, frobenius_distance
 
 __all__ = [
     "NULL_BRANCH_PROB",
-    "Branches",
     "Intervention",
     "InterventionRecord",
     "ScenarioConfig",
@@ -166,32 +165,6 @@ class InterventionRecord:
     probabilities_s: tuple
     probabilities_sprime: tuple
     probability_defect: float
-
-
-@dataclass(frozen=True, eq=False)
-class Branches:
-    """The leaves of the outcome tree as read-only columns, one row per leaf.
-
-    Leaf ``i`` is the outcome sequence ``list(sequences)[i]``, over
-    ``counts`` branches per intervention. Rows of ``probabilities``, of
-    ``live`` (above ``NULL_BRANCH_PROB``) and of ``states`` (renormalized,
-    shape ``(L, 2, d, d)``, NaN where null) hold frame S, then frame S'.
-    ``states`` is the array the tree grew in: each frame's column
-    ``states[:, f]`` held every level of that frame's tree in turn.
-    """
-
-    counts: np.ndarray
-    probabilities: np.ndarray
-    live: np.ndarray
-    states: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.probabilities)
-
-    @property
-    def sequences(self):
-        """Each leaf's outcome sequence, as a tuple of ints, in leaf order."""
-        return itertools.product(*map(range, self.counts.tolist()))
 
 
 @dataclass(frozen=True)

@@ -36,10 +36,15 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .channels import CHANNEL_EQUALITY_TOL, COMPLETENESS_TOL, DensityMatrix, KrausSet
+from .channels import (
+    CHANNEL_EQUALITY_TOL,
+    COMPLETENESS_TOL,
+    Branches,
+    DensityMatrix,
+    KrausSet,
+)
 from .covariance import UNITARY_TOL, FrameTransform, MixingUnitary
 from .linalg import _blocks
-from .scenario import Branches, Intervention, ScenarioConfig, Target
 
 __all__ = [
     "InputError",
@@ -173,18 +178,19 @@ def parse_frame(obj, path: str, tol: float = UNITARY_TOL) -> FrameTransform:
     return _checked(path, FrameTransform, mat, unitarity_tol=tol)
 
 
-_TARGETS = {t.value: t for t in Target}
-
-
-def parse_scenario_config(obj, path: str) -> ScenarioConfig:
-    """Read a scenario file: dims, initial state, frame, interventions.
+def parse_scenario_config(obj, path: str):
+    """Read a scenario file into a ``scenario.ScenarioConfig``.
 
     Schema:
     ``{"dim_a": int, "dim_b": int, "initial_state": matrix, "frame": matrix,
     "tol": optional number, "interventions": [{"label": str, "target":
     "A"|"B"|"JOINT", "kraus": kraus_set, "mixing": optional matrix,
-    "sprime_kraus": optional kraus_set}, ...]}``
+    "sprime_kraus": optional kraus_set}, ...]}``. Only this reader loads
+    ``scenario``, when it is first called.
     """
+    from .scenario import Intervention, ScenarioConfig, Target
+
+    targets = {t.value: t for t in Target}
     _as_object(obj, path)
     tol = CHANNEL_EQUALITY_TOL
     if "tol" in obj:
@@ -210,9 +216,9 @@ def parse_scenario_config(obj, path: str) -> ScenarioConfig:
         if not isinstance(label, str):
             raise InputError(f"{iv_path}.label: expected a string")
         target_str = _get(iv_obj, "target", iv_path)
-        if not isinstance(target_str, str) or target_str not in _TARGETS:
+        if not isinstance(target_str, str) or target_str not in targets:
             raise InputError(
-                f"{iv_path}.target: expected one of {sorted(_TARGETS)}, "
+                f"{iv_path}.target: expected one of {sorted(targets)}, "
                 f"got {target_str!r}"
             )
         kraus = parse_kraus_set(_get(iv_obj, "kraus", iv_path), f"{iv_path}.kraus", tol)
@@ -230,7 +236,7 @@ def parse_scenario_config(obj, path: str) -> ScenarioConfig:
         interventions.append(
             _checked(
                 iv_path, Intervention, label=label, kraus=kraus,
-                target=_TARGETS[target_str], mixing=mixing, sprime_kraus=sprime,
+                target=targets[target_str], mixing=mixing, sprime_kraus=sprime,
             )
         )
 

@@ -25,14 +25,12 @@ from covchan.cli import main
 from covchan.covariance import (
     FrameTransform,
     MixingUnitary,
-    PhaseEquivalence,
     compatibility_residual,
     conjugate_kraus,
     covariant_distance,
     extract_mixing,
     make_noncovariant_solution,
     mix_kraus,
-    n1_uniqueness_check,
     phase_permutation_distance,
 )
 from covchan.linalg import (
@@ -42,6 +40,7 @@ from covchan.linalg import (
     random_unitary,
     spawn_rng,
 )
+from covchan.rigidity import PhaseEquivalence, n1_uniqueness_check
 from covchan.scenario import Intervention, ScenarioConfig, Target, run_scenario
 
 from conftest import matrix_to_obj, record_acceptance

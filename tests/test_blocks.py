@@ -19,17 +19,15 @@ from covchan.covariance import (
     PHASE_DISTANCE_FLOOR,
     FrameTransform,
     MixingUnitary,
-    _n1_candidates,
-    _rank1_choi_residual,
     compatibility_residual,
     conjugate_kraus,
     covariant_distance,
     make_noncovariant_solution,
-    n1_covariance_search,
     phase_aligned_distance,
     phase_permutation_distance,
 )
 from covchan.linalg import random_unitary, spawn_rng
+from covchan.rigidity import _n1_candidates, _rank1_choi_residual, n1_covariance_search
 
 
 def _reference_row(dim, rank, seed, i):

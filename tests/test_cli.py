@@ -1161,7 +1161,7 @@ class TestCollectorFreeze:
 class TestPublicSurface:
     """The package exports each module's ``__all__``, and ``__version__``."""
 
-    MODULES = ("channels", "covariance", "linalg", "scenario")
+    MODULES = ("channels", "covariance", "linalg", "rigidity", "scenario")
 
     def test_all_is_the_module_lists(self):
         modules = [getattr(covchan, name) for name in self.MODULES]
@@ -1200,6 +1200,101 @@ class TestPublicSurface:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
+
+
+    # the package's public names, as they stood before rigidity moved out
+    # of covariance and rigidity and scenario began to load on first use
+    PINNED = {
+        "Branches", "CHANNEL_EQUALITY_TOL", "COMPLETENESS_TOL", "CovarianceReport",
+        "DensityMatrix", "FrameTransform", "GRAM_MIN_EIGENVALUE", "Intervention",
+        "InterventionRecord", "KrausSet", "MixingUnitary", "N1CheckResult",
+        "N1SearchReport", "N1Violation", "NULL_BRANCH_PROB", "PHASE_DISTANCE_FLOOR",
+        "PhaseEquivalence", "STATE_TOL", "ScenarioConfig", "ScenarioResult", "Target",
+        "UNITARY_TOL", "Verdict", "__version__", "analyze", "apply_channel",
+        "apply_kraus", "apply_to_matrix_units", "as_cmatrix", "channels_equal",
+        "choi_distance", "choi_matrix", "compatibility_residual",
+        "completeness_defect", "conjugate_kraus", "covariant_distance", "dagger",
+        "embed_local", "extract_mixing", "frobenius_distance",
+        "make_noncovariant_solution", "matrix_units", "mix_kraus",
+        "n1_covariance_search", "n1_uniqueness_check", "phase_aligned_distance",
+        "phase_permutation_distance", "random_density", "random_kraus_set",
+        "random_unitary", "run_scenario", "spawn_rng", "transform_state",
+        "unitarity_defect", "vec",
+    }
+
+    def test_all_is_pinned(self):
+        assert len(self.PINNED) == 55
+        assert set(covchan.__all__) == self.PINNED
+
+    def test_names_are_bound_on_first_access(self):
+        code = (
+            "import sys, covchan\n"
+            "loaded = {'covchan.rigidity', 'covchan.scenario'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n"
+            "for name in covchan.__all__:\n"
+            "    value = getattr(covchan, name)\n"
+            "    assert vars(covchan)[name] is value, name\n"
+            "print(sorted({'covchan.rigidity', 'covchan.scenario'} & set(sys.modules)))\n"
+        )
+        proc = _python(["-X", "dev", "-W", "error", "-c", code])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "['covchan.rigidity', 'covchan.scenario']\n"
+
+    def test_star_import_holds_exactly_all(self):
+        code = (
+            "namespace = {}\n"
+            "exec('from covchan import *', namespace)\n"
+            "import covchan\n"
+            "assert set(namespace) - {'__builtins__'} == set(covchan.__all__)\n"
+            "assert all(namespace[n] is getattr(covchan, n) for n in covchan.__all__)\n"
+        )
+        proc = _python(["-X", "dev", "-W", "error", "-c", code])
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_a_lazy_module_is_an_attribute_of_the_package(self):
+        code = "import covchan; print(covchan.scenario.__name__, covchan.rigidity.__name__)"
+        proc = _python(["-c", code])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "covchan.scenario covchan.rigidity\n"
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            covchan.nope
+
+
+class TestCommandImports:
+    """A CLI job imports the modules its command runs, and no others."""
+
+    LAZY = {"covchan.rigidity", "covchan.scenario"}
+
+    @pytest.mark.parametrize(
+        "command, loaded",
+        [
+            ("analyze", set()),
+            ("freedom-sweep", set()),
+            ("version", set()),
+            ("n1-search", {"covchan.rigidity"}),
+            ("scenario", {"covchan.scenario"}),
+        ],
+    )
+    def test_command_loads_only_its_modules(self, fixtures, command, loaded):
+        argv = {
+            "analyze": ["analyze", fixtures["dephase"], fixtures["dephase"], fixtures["lam_ident"]],
+            "freedom-sweep": ["freedom-sweep", "--dim", "2", "--rank", "2", "--trials", "2"],
+            "version": ["--version"],
+            "n1-search": ["n1-search", fixtures["k1_ident"], fixtures["lam_ident"], "--trials", "2"],
+            "scenario": ["scenario", fixtures["scenario"]],
+        }[command]
+        proc = _python(["-X", "importtime", "-m", "covchan", *argv])
+        assert proc.returncode == 0, proc.stderr
+        # each line reads "import time: self | cumulative | module"
+        modules = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert {"covchan.cli", "covchan.covariance"} <= modules
+        assert modules & self.LAZY == loaded
 
 
 class TestCliPlumbing:

@@ -24,7 +24,6 @@ from covchan.covariance import (
     CovarianceReport,
     FrameTransform,
     MixingUnitary,
-    PhaseEquivalence,
     Verdict,
     analyze,
     compatibility_residual,
@@ -33,14 +32,12 @@ from covchan.covariance import (
     extract_mixing,
     make_noncovariant_solution,
     mix_kraus,
-    n1_covariance_search,
-    n1_uniqueness_check,
     phase_aligned_distance,
     phase_permutation_distance,
     transform_state,
 )
 from covchan import covariance
-from covchan.covariance import _mix, _rank1_choi_residual, _verdict
+from covchan.covariance import _mix, _verdict
 from covchan.linalg import (
     _scaled,
     dagger,
@@ -49,6 +46,12 @@ from covchan.linalg import (
     random_unitary,
     spawn_rng,
     unitarity_defect,
+)
+from covchan.rigidity import (
+    PhaseEquivalence,
+    _rank1_choi_residual,
+    n1_covariance_search,
+    n1_uniqueness_check,
 )
 
 
