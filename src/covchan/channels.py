@@ -23,8 +23,8 @@ ones (conjugated, mixed, embedded) are wrapped without re-checking. The
 completeness defect is ``linalg._gram_defects``, the kernel that the
 unitarity defects share.
 
-Every conjugation ``U M U^dagger`` is one product, ``_conjugate``; every
-operator sum goes through ``_kraus_images``, its batched branch images.
+Every conjugation ``U M U^dagger`` is one product, ``_conjugate``, the
+scenario tree's branch images too; ``_kraus_images`` serves :func:`apply_kraus`.
 """
 
 from __future__ import annotations

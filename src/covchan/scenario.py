@@ -17,7 +17,6 @@ never folded into the defect.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ from .channels import (
     KrausSet,
     _conjugate,
     _derived_set,
-    _kraus_images,
     _readonly,
     _trusted,
 )
@@ -209,42 +207,38 @@ def embed_local(k: KrausSet, target: Target, dim_a: int, dim_b: int) -> KrausSet
     return _derived_set(k, lambda: np.kron(np.eye(dim_a), k.ops))
 
 
-def _probabilities(images: np.ndarray) -> list:
-    """Traces of a stack of branch images: the branch probabilities."""
-    return np.trace(images, axis1=-2, axis2=-1).real.tolist()
+def _grow(state: np.ndarray, stacks, labels, out: np.ndarray) -> tuple:
+    """F frames' accounts of ``state`` evolving through ``stacks`` in turn.
 
-
-def _grow(state: np.ndarray, sets, labels, out: np.ndarray) -> tuple:
-    """One frame's account of ``state`` evolving through ``sets`` in turn.
-
-    Writes the unnormalized leaves, in outcome-sequence order, into ``out``
-    (that frame's ``(L, d, d)`` column of the leaf table) and returns each
-    set's marginal branch probabilities and the final non-selective state.
-    The marginals are the traces of the branch images of the non-selective
-    state (by linearity the true marginals); the images sum to the next.
-    Every level is built inside ``out``: parent ``p`` of a set with N
-    branches has its children in rows ``p N`` to ``p N + N - 1``, so
-    taking the parents in blocks (``linalg._blocks``) from the last back to
-    the first, a block's images, made before they are written, only ever
+    ``state`` is the ``(F, d, d)`` stack of start states and each of
+    ``stacks`` an ``(N, F, d, d)`` stack of operators, frame f's in column
+    f. Writes the unnormalized leaves, in outcome-sequence order, into the
+    ``(L, F, d, d)`` table ``out``; returns each intervention's ``(F, N)``
+    marginals, the traces of the non-selective states' branch images (by
+    linearity the true marginals), and the ``(F, d, d)`` final states. Every
+    level is built inside ``out``: parent ``p`` of a set with N branches
+    has its children in rows ``p N`` to ``p N + N - 1``, so taking the
+    parents in blocks (``linalg._blocks``) from the last back to the
+    first, a block's images, made before they are written, only ever
     overwrite parents already read. Sets accepted at a loose ``tol`` can
-    overflow the products: the first set after which a leaf, the state or
-    a marginal is not finite is named, by its label in ``labels``, in a
-    ``ValueError``, and numpy's overflow warnings are silenced so that this
-    error is all a caller sees.
+    overflow the products: the first intervention after which any frame's
+    leaf, state or marginal is not finite is named, by its label in
+    ``labels``, in a ``ValueError``; numpy's overflow warnings are silenced.
     """
     marginals = []
     out[0] = state
     n = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, label in zip(sets, labels):
-            images = _kraus_images(k.ops, state)
-            marginals.append(tuple(_probabilities(images)))
+        for ops, label in zip(stacks, labels):
+            images = _conjugate(ops, state)
+            probs = np.trace(images, axis1=-2, axis2=-1).real.T
+            marginals.append(probs.tolist())
             state = images.sum(axis=0)
-            finite = np.isfinite(state).all() and all(map(math.isfinite, marginals[-1]))
-            for block in reversed(_blocks(n, k.rank * state.nbytes)):
-                children = _kraus_images(k.ops, out[block.start : block.stop])
+            finite = np.isfinite(state).all() and np.isfinite(probs).all()
+            for block in reversed(_blocks(n, len(ops) * state.nbytes)):
+                children = _conjugate(ops, out[block.start : block.stop, None])
                 finite = finite and np.isfinite(children).all()
-                out[block.start * k.rank : block.stop * k.rank] = children.reshape(
+                out[block.start * len(ops) : block.stop * len(ops)] = children.reshape(
                     -1, *state.shape
                 )
             if not finite:
@@ -252,20 +246,19 @@ def _grow(state: np.ndarray, sets, labels, out: np.ndarray) -> tuple:
                     f"intervention {label!r}: branch states overflow; "
                     "entries must be finite"
                 )
-            n *= k.rank
+            n *= len(ops)
     return marginals, state
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Run both frame accounts and measure their covariant agreement.
 
-    Frame S grows from the initial state through the embedded sets, frame
-    S' from its covariant transform through the per-intervention S' sets,
-    each by :func:`_grow`; their leaves become one :class:`Branches` table
-    of joint statistics and post-branch states.
+    One :func:`_grow` takes frame S from the initial state through the
+    embedded sets and frame S' from its covariant transform through the S'
+    sets, into one :class:`Branches` table of joint statistics and states.
     """
     sigma = transform_state(cfg.initial_state, cfg.frame).mat
-    sets_s, sets_sp = [], []
+    stacks = []
     representation_distance = 0.0
     n_branches = 1
     for iv in cfg.interventions:
@@ -284,23 +277,22 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                 f"outcome tree exceeds {_MAX_BRANCHES} branches; "
                 "trim the intervention list"
             )
-        sets_s.append(k_joint)
-        sets_sp.append(l_joint)
+        stacks.append(np.stack([k_joint.ops, l_joint.ops], axis=1))
 
-    labels = [iv.label for iv in cfg.interventions]
-    # the (leaf, frame) table, each frame grown inside its own column
+    # the (leaf, frame) table, both frames grown in it together
     states = np.empty((n_branches, 2, *sigma.shape), dtype=np.complex128)
-    marginals_s, rho = _grow(cfg.initial_state.mat, sets_s, labels, states[:, 0])
-    marginals_sp, sigma = _grow(sigma, sets_sp, labels, states[:, 1])
+    start = np.stack([cfg.initial_state.mat, sigma])
+    labels = [iv.label for iv in cfg.interventions]
+    marginals, (rho, sigma) = _grow(start, stacks, labels, states)
     records = tuple(
         InterventionRecord(
             label=iv.label,
             target=iv.target,
-            probabilities_s=probs_s,
-            probabilities_sprime=probs_sp,
+            probabilities_s=tuple(probs_s),
+            probabilities_sprime=tuple(probs_sp),
             probability_defect=max(abs(p - q) for p, q in zip(probs_s, probs_sp)),
         )
-        for iv, probs_s, probs_sp in zip(cfg.interventions, marginals_s, marginals_sp)
+        for iv, (probs_s, probs_sp) in zip(cfg.interventions, marginals)
     )
 
     # live states are renormalized in place, null ones set to NaN, by blocks

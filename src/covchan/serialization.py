@@ -249,7 +249,8 @@ def parse_scenario_config(obj, path: str):
 _INDENT = "  "
 
 # A report goes to its destination in writes of about this many characters
-# (one matrix's text more at most), so it is never held in memory whole.
+# (one matrix's text more at most): never held in memory whole, and on a
+# write-through stdout (PYTHONUNBUFFERED) not one system call per piece (~10^4).
 _CHUNK = 64 * 1024
 
 

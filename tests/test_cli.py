@@ -1869,6 +1869,13 @@ class TestStreamedReport:
         # plus at most 100 characters of keys, separators and brackets
         assert max(map(len, writes)) <= serialization._CHUNK + matrix + 100
 
+    def test_the_tree_goes_out_in_few_writes(self):
+        # on a write-through stdout (PYTHONUNBUFFERED) each write is a system
+        # call, so the report's 10^4 pieces must go out a chunk at a time
+        writes = _report_writes(_tree_4096())
+        length = sum(map(len, writes))
+        assert len(writes) <= -(-length // serialization._CHUNK) + 1
+
     @pytest.fixture
     def failing_report(self, monkeypatch):
         """``covchan.cli`` reports the 4096-leaf tree, then a non-finite matrix."""

@@ -34,6 +34,7 @@ from covchan.scenario import (
     Intervention,
     ScenarioConfig,
     Target,
+    _grow,
     embed_local,
     run_scenario,
 )
@@ -451,18 +452,26 @@ def _renormalized(mat, prob):
     return 0.5 * (state + dagger(state))
 
 
+def _frame_sets(cfg):
+    """Each intervention's embedded S set and S' set, as the runner pairs them."""
+    for iv in cfg.interventions:
+        k = embed_local(iv.kraus, iv.target, cfg.dim_a, cfg.dim_b)
+        l = conjugate_kraus(k, cfg.frame)
+        if iv.sprime_kraus is not None:
+            l = embed_local(iv.sprime_kraus, iv.target, cfg.dim_a, cfg.dim_b)
+        elif iv.mixing is not None:
+            l = mix_kraus(l, iv.mixing)
+        yield k.ops, l.ops
+
+
 def _leaf_stacks(cfg):
     """Both frames' unnormalized leaves, in outcome-sequence order."""
     d = cfg.initial_state.dim
     leaves_s = cfg.initial_state.mat[None]
     leaves_sp = transform_state(cfg.initial_state, cfg.frame).mat[None]
-    for iv in cfg.interventions:
-        k = embed_local(iv.kraus, iv.target, cfg.dim_a, cfg.dim_b)
-        l = conjugate_kraus(k, cfg.frame)
-        if iv.mixing is not None:
-            l = mix_kraus(l, iv.mixing)
-        leaves_s = _kraus_images(k.ops, leaves_s).reshape(-1, d, d)
-        leaves_sp = _kraus_images(l.ops, leaves_sp).reshape(-1, d, d)
+    for k, l in _frame_sets(cfg):
+        leaves_s = _kraus_images(k, leaves_s).reshape(-1, d, d)
+        leaves_sp = _kraus_images(l, leaves_sp).reshape(-1, d, d)
     return leaves_s, leaves_sp
 
 
@@ -684,4 +693,49 @@ class TestTableInPlace:
                 run_scenario(cfg)
         assert str(exc.value) == (
             "intervention 'm3': branch states overflow; entries must be finite"
+        )
+
+
+class TestFrameAxis:
+    """Both frames grow in one pass; each frame alone grows the same."""
+
+    @pytest.mark.parametrize(
+        "local, n_meas, variant", [(2, 8, "mixing"), (4, 3, "sprime"), (3, 4, None)]
+    )
+    def test_one_frame_at_a_time_gives_the_joint_growth(self, local, n_meas, variant):
+        cfg = _epr_tree(local, n_meas, variant)
+        d = local * local
+        sets = list(_frame_sets(cfg))
+        labels = [iv.label for iv in cfg.interventions]
+        start = np.stack(
+            [cfg.initial_state.mat, transform_state(cfg.initial_state, cfg.frame).mat]
+        )
+        both = np.empty((local**n_meas, 2, d, d), dtype=complex)
+        stacks = [np.stack(pair, axis=1) for pair in sets]
+        marginals, finals = _grow(start, stacks, labels, both)
+        records = run_scenario(cfg).interventions
+        want = [[list(r.probabilities_s), list(r.probabilities_sprime)] for r in records]
+        assert marginals == want
+        for f in range(2):
+            one = np.empty((local**n_meas, 1, d, d), dtype=complex)
+            stacks = [pair[f][:, None] for pair in sets]
+            got_marginals, got_final = _grow(start[f : f + 1], stacks, labels, one)
+            assert one.tobytes() == both[:, f : f + 1].tobytes()
+            assert got_marginals == [[m[f]] for m in marginals]
+            assert got_final.tobytes() == finals[f : f + 1].tobytes()
+
+    def test_overflow_names_the_first_intervention_of_either_frame(self):
+        # three big sets overflow a leaf: S' meets its third at "m2", S at "m5"
+        big = KrausSet([1e70 * P0, P1], completeness_tol=1e300)
+        sides = (Target.SUBSYSTEM_A, Target.SUBSYSTEM_B)
+        ivs = [
+            Intervention(f"m{m}", Z_MEAS, sides[m % 2], sprime_kraus=big) for m in range(3)
+        ] + [Intervention(f"m{m}", big, Target.SUBSYSTEM_A) for m in range(3, 6)]
+        cfg = ScenarioConfig(BELL, 2, 2, IDENT4, ivs, tol=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                run_scenario(cfg)
+        assert str(exc.value) == (
+            "intervention 'm2': branch states overflow; entries must be finite"
         )
